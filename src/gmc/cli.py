@@ -34,7 +34,7 @@ from .errors import (
     NumericError,
     ShapeError,
 )
-from .model import GmcModel, TrainConfig, train
+from .model import GmcModel, TrainConfig, require_integer, train
 from .persist import (
     hash_entry,
     load_checkpoint,
@@ -127,12 +127,11 @@ def resolve_train_config(
     config = _build(TrainConfig, raw, "train config")
     model_kwargs = dict(_MODEL_DEFAULTS, seed=config.seed)
     model_kwargs.update(model_raw)
+    for key in ("d", "s", "hidden", "seed"):
+        require_integer(f"model.{key}", model_kwargs[key])
     for key in ("d", "s", "hidden"):
-        value = model_kwargs[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ConfigError(f"model.{key}", f"must be a positive integer, got {value!r}")
-    if isinstance(model_kwargs["seed"], bool) or not isinstance(model_kwargs["seed"], int):
-        raise ConfigError("model.seed", f"must be an integer, got {model_kwargs['seed']!r}")
+        if model_kwargs[key] < 1:
+            raise ConfigError(f"model.{key}", f"must be positive, got {model_kwargs[key]!r}")
     return config, model_kwargs
 
 
@@ -186,15 +185,11 @@ def cmd_gen_data(args) -> None:
     print(f"wrote {len(files)} dataset files to {args.out}")
 
 
-def cmd_train(args) -> None:
-    config, model_kwargs = resolve_train_config(
-        _load_json_config(args.config), args.seed, args.loss
-    )
-    dataset = load_dataset(args.dataset)
+def _train_and_write(dataset, config: TrainConfig, model_kwargs: dict, out: Path):
+    """Build and train a model; write checkpoint.gmc and loss_trace.csv into `out`."""
     dims = tuple(x.shape[1] for x in dataset.modalities)
     model = GmcModel.build(dims, **model_kwargs)
     result = train(model, dataset, config)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.gmc", model)
     write_csv(
@@ -205,11 +200,20 @@ def cmd_train(args) -> None:
             for e, (loss, mean) in enumerate(zip(result.epoch_losses, result.epoch_term_means))
         ),
     )
+    return model, result
+
+
+def cmd_train(args) -> None:
+    config, model_kwargs = resolve_train_config(
+        _load_json_config(args.config), args.seed, args.loss
+    )
+    out = Path(args.out)
+    model, result = _train_and_write(load_dataset(args.dataset), config, model_kwargs, out)
     write_manifest(
         out / "manifest.json",
         "train",
         {"train": _jsonable(config), "model": _jsonable(model_kwargs)},
-        inputs={"dataset": _dataset_input_hashes(args.dataset, len(dims))},
+        inputs={"dataset": _dataset_input_hashes(args.dataset, model.modality_count)},
         outputs={
             "checkpoint.gmc": hash_entry(out / "checkpoint.gmc"),
             "loss_trace.csv": hash_entry(out / "loss_trace.csv"),
@@ -332,10 +336,15 @@ def cmd_eval_dca(args) -> None:
     )
 
 
-def _robustness_rows(table, modality_count: int):
-    yield ("complete", table.accuracies["complete"])
-    for m in range(1, modality_count + 1):
-        yield (f"modality_{m}", table.accuracies[f"modality_{m}"])
+def _probe_and_write(model: GmcModel, dataset, config: ProbeConfig, out: Path):
+    """Train a probe on complete-pathway train latents, score every pathway
+    on the test split and write robustness.csv into `out`."""
+    z_train = model.encode_complete(dataset.complete_view("train")).data
+    probe = train_probe(z_train, dataset.labels_view("train"), config=config)
+    table = evaluate_robustness(model, probe, dataset, split="test")
+    out.mkdir(parents=True, exist_ok=True)
+    write_csv(out / "robustness.csv", ["pathway", "accuracy"], table.accuracies.items())
+    return table
 
 
 def cmd_eval_probe(args) -> None:
@@ -343,16 +352,8 @@ def cmd_eval_probe(args) -> None:
     model = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.dataset)
     _check_model_matches_dataset(model, dataset)
-    z_train = model.encode_complete(dataset.complete_view("train")).data
-    probe = train_probe(z_train, dataset.labels_view("train"), config=config)
-    table = evaluate_robustness(model, probe, dataset, split="test")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        out / "robustness.csv",
-        ["pathway", "accuracy"],
-        _robustness_rows(table, model.modality_count),
-    )
+    table = _probe_and_write(model, dataset, config, out)
     write_manifest(
         out / "manifest.json",
         "eval-probe",
@@ -420,32 +421,9 @@ def run_sweep_point(dataset_dir: str, run_dir: str, raw_config: dict) -> dict:
     the DCA harmonic of each (complete, modality) embedding pair."""
     config, model_kwargs = resolve_train_config(raw_config, None, None)
     dataset = load_dataset(dataset_dir)
-    dims = tuple(x.shape[1] for x in dataset.modalities)
-    model = GmcModel.build(dims, **model_kwargs)
-    result = train(model, dataset, config)
     out = Path(run_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out / "checkpoint.gmc", model)
-    write_csv(
-        out / "loss_trace.csv",
-        ["epoch", "loss", "term_mean"],
-        (
-            (e, loss, mean)
-            for e, (loss, mean) in enumerate(zip(result.epoch_losses, result.epoch_term_means))
-        ),
-    )
-    z_train = model.encode_complete(dataset.complete_view("train")).data
-    probe = train_probe(
-        z_train,
-        dataset.labels_view("train"),
-        config=ProbeConfig(seed=config.seed),
-    )
-    table = evaluate_robustness(model, probe, dataset, split="test")
-    write_csv(
-        out / "robustness.csv",
-        ["pathway", "accuracy"],
-        _robustness_rows(table, model.modality_count),
-    )
+    model, _ = _train_and_write(dataset, config, model_kwargs, out)
+    table = _probe_and_write(model, dataset, ProbeConfig(seed=config.seed), out)
     z_complete = model.encode_complete(dataset.complete_view("test")).data
     harmonics = {}
     for m in range(model.modality_count):
@@ -456,7 +434,7 @@ def run_sweep_point(dataset_dir: str, run_dir: str, raw_config: dict) -> dict:
         out / "manifest.json",
         "sweep-point",
         {"train": _jsonable(config), "model": _jsonable(model_kwargs)},
-        inputs={"dataset": _dataset_input_hashes(dataset_dir, len(dims))},
+        inputs={"dataset": _dataset_input_hashes(dataset_dir, model.modality_count)},
         outputs={
             name: hash_entry(out / name)
             for name in ("checkpoint.gmc", "loss_trace.csv", "robustness.csv", "dca.csv")

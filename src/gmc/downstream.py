@@ -8,15 +8,23 @@ attributable to the geometry of the latent space, not to the probe.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, DomainError, NumericError, ShapeError
-from .model import EncoderSpec, GmcModel, init_mlp_params, make_optimizer, mlp_forward
-from .tensor import Tape, Tensor, add, dot, exp, log, matmul, scale
+from .errors import ConfigError, ShapeError
+from .model import (
+    EncoderSpec,
+    GmcModel,
+    ParameterSet,
+    check_loop_config,
+    fit,
+    init_mlp_params,
+    mlp_forward,
+    require_integer,
+)
+from .tensor import Tensor, add, dot, exp, log, matmul, scale
 from .tensor import sum as tsum
 
 
@@ -33,20 +41,15 @@ class ProbeConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
+        for h in self.hidden:
+            require_integer("hidden", h)
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        if self.epochs < 1:
-            raise ConfigError("epochs", "must be positive")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size", "must be positive")
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate", "must be non-negative")
+        check_loop_config(self)
         if any(h < 1 for h in self.hidden):
             raise ConfigError("hidden", "hidden widths must be positive")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError("optimizer", f"unknown optimizer {self.optimizer!r}")
 
 
-class ProbeClassifier:
+class ProbeClassifier(ParameterSet):
     """ReLU MLP over latents: s -> hidden widths -> C logits."""
 
     def __init__(self, latent_dim: int, n_classes: int, hidden=(256, 128), seed: int = 0):
@@ -68,24 +71,8 @@ class ProbeClassifier:
     def n_classes(self) -> int:
         return self.spec.output_dim
 
-    def parameters(self) -> dict[str, Tensor]:
-        return dict(self._params)
-
-    def replace_parameters(self, values) -> None:
-        staged = {}
-        for name, value in values.items():
-            if name not in self._params:
-                raise ConfigError("parameters", f"unknown parameter {name!r}")
-            arr = value.data if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
-            if arr.shape != self._params[name].shape:
-                raise ShapeError(f"replace_parameters[{name}]", self._params[name].shape, arr.shape)
-            staged[name] = Tensor(arr, requires_grad=True)
-        self._params.update(staged)
-
     def logits(self, z) -> Tensor:
-        t = z if isinstance(z, Tensor) else Tensor(z)
-        if t.data.ndim != 2 or t.shape[1] != self.latent_dim:
-            raise ShapeError("probe_logits", t.shape, ("batch", self.latent_dim))
+        t = self._check_input("probe_logits", z, self.latent_dim)
         return mlp_forward(self.spec, self._params, "probe", t)
 
     def predict(self, z) -> np.ndarray:
@@ -129,9 +116,7 @@ def train_probe(
 ) -> ProbeClassifier:
     """Fit a fresh probe on complete-pathway latents.
 
-    Shuffles come from streams keyed (config.seed, epoch); per-epoch mean
-    losses land in `probe.training_losses`. Aborts on a non-finite loss with
-    the offending epoch and step.
+    Per-epoch mean losses land in `probe.training_losses`.
     """
     z_train = np.asarray(z_train, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.int64)
@@ -140,39 +125,12 @@ def train_probe(
     if n_classes is None:
         n_classes = int(y_train.max()) + 1
     probe = ProbeClassifier(z_train.shape[1], n_classes, config.hidden, config.seed)
-    optimizer = make_optimizer(config)
-    n = z_train.shape[0]
-    step = 0
-    for epoch in range(config.epochs):
-        perm = rng.stream(config.seed, rng.PROBE_SHUFFLE, epoch).permutation(n)
-        losses = []
-        for start in range(0, n, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            with np.errstate(over="ignore", invalid="ignore"):
-                try:
-                    with Tape() as tape:
-                        loss = cross_entropy(probe.logits(z_train[idx]), y_train[idx])
-                    value = float(loss.data)
-                    if not math.isfinite(value):
-                        raise NumericError(
-                            f"non-finite probe loss {value!r}", epoch=epoch, step=step
-                        )
-                    tape.backward(loss)
-                except DomainError as err:
-                    raise NumericError(
-                        f"probe loss computation failed: {err}", epoch=epoch, step=step
-                    ) from err
-            if config.learning_rate > 0:
-                if hasattr(optimizer, "begin_step"):
-                    optimizer.begin_step()
-                updates = {}
-                for name, p in probe.parameters().items():
-                    grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-                    updates[name] = optimizer.step(name, p.data, grad)
-                probe.replace_parameters(updates)
-            losses.append(value)
-            step += 1
-        probe.training_losses.append(float(np.mean(losses)))
+
+    def loss_fn(idx):
+        return cross_entropy(probe.logits(z_train[idx]), y_train[idx])
+
+    epochs = fit(probe, loss_fn, z_train.shape[0], config, rng.PROBE_SHUFFLE, 1, "probe loss")
+    probe.training_losses = [float(np.mean([value for value, _ in steps])) for steps in epochs]
     return probe
 
 

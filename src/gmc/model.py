@@ -14,7 +14,8 @@ counter-based streams keyed on their seeds, so runs reproduce bit for bit.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+import numbers
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +100,45 @@ def mlp_forward(spec: EncoderSpec, params: Mapping[str, Tensor], prefix: str, x:
     return h
 
 
-class GmcModel:
+class ParameterSet:
+    """Named gradient-tracked parameters: the unit `fit` trains.
+
+    Subclasses fill `_params` in their constructor; holding, counting,
+    swapping and input-shape checks live here.
+    """
+
+    _params: dict[str, Tensor]
+
+    def parameters(self) -> dict[str, Tensor]:
+        return dict(self._params)
+
+    def parameter_count(self) -> int:
+        return sum(t.data.size for t in self._params.values())
+
+    def replace_parameters(self, values: Mapping[str, object]) -> None:
+        """Swap in new parameter values (any subset of names).
+
+        Each replacement becomes a fresh gradient-tracked leaf, so stale
+        gradients never leak across optimizer steps.
+        """
+        staged = {}
+        for name, value in values.items():
+            if name not in self._params:
+                raise ConfigError("parameters", f"unknown parameter {name!r}")
+            arr = value.data if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
+            if arr.shape != self._params[name].shape:
+                raise ShapeError(f"replace_parameters[{name}]", self._params[name].shape, arr.shape)
+            staged[name] = Tensor(arr, requires_grad=True)
+        self._params.update(staged)
+
+    def _check_input(self, op: str, x, expected: int) -> Tensor:
+        t = x if isinstance(x, Tensor) else Tensor(x)
+        if t.data.ndim != 2 or t.shape[1] != expected:
+            raise ShapeError(op, t.shape, ("batch", expected))
+        return t
+
+
+class GmcModel(ParameterSet):
     """Parameter container for the M+1 base encoders and the shared head.
 
     `base_specs` lists the M modality encoders followed by the complete
@@ -172,38 +211,10 @@ class GmcModel:
     def s(self) -> int:
         return self.head_spec.output_dim
 
-    def parameters(self) -> dict[str, Tensor]:
-        return dict(self._params)
-
-    def parameter_count(self) -> int:
-        return sum(t.data.size for t in self._params.values())
-
-    def replace_parameters(self, values: Mapping[str, object]) -> None:
-        """Swap in new parameter values (any subset of names).
-
-        Each replacement becomes a fresh gradient-tracked leaf, so stale
-        gradients never leak across optimizer steps.
-        """
-        staged = {}
-        for name, value in values.items():
-            if name not in self._params:
-                raise ConfigError("parameters", f"unknown parameter {name!r}")
-            arr = value.data if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
-            if arr.shape != self._params[name].shape:
-                raise ShapeError(f"replace_parameters[{name}]", self._params[name].shape, arr.shape)
-            staged[name] = Tensor(arr, requires_grad=True)
-        self._params.update(staged)
-
     # --- forward ------------------------------------------------------------
 
     def _mlp(self, name: str, spec: EncoderSpec, x: Tensor) -> Tensor:
         return mlp_forward(spec, self._params, name, x)
-
-    def _check_input(self, op: str, x, expected: int) -> Tensor:
-        t = x if isinstance(x, Tensor) else Tensor(x)
-        if t.data.ndim != 2 or t.shape[1] != expected:
-            raise ShapeError(op, t.shape, ("batch", expected))
-        return t
 
     def encode_modality(self, m: int, x, return_intermediate: bool = False):
         """z_m = g(f_m(x_m)) for a batch of modality-m rows; optionally also h_m."""
@@ -248,6 +259,26 @@ def batch_loss(model: GmcModel, modality_arrays, complete_array, tau, variant: s
 # --- training -----------------------------------------------------------------
 
 
+def check_loop_config(config) -> None:
+    """Validation shared by the configs that drive `fit`. Integer fields
+    reject floats and bools: `range` fails on 1.5 mid-run and reads True as 1."""
+    for key in ("epochs", "batch_size", "seed"):
+        require_integer(key, getattr(config, key))
+    if config.epochs < 1:
+        raise ConfigError("epochs", "must be positive")
+    if config.batch_size < 1:
+        raise ConfigError("batch_size", "must be positive")
+    if config.learning_rate < 0:
+        raise ConfigError("learning_rate", "must be non-negative")
+    if config.optimizer not in ("adam", "sgd"):
+        raise ConfigError("optimizer", f"unknown optimizer {config.optimizer!r}")
+
+
+def require_integer(key: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(key, f"must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 100
@@ -262,18 +293,13 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError("epochs", "must be positive")
+        check_loop_config(self)
         if self.batch_size < 2:
             raise ConfigError("batch_size", "contrastive batches need at least 2 samples")
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate", "must be non-negative")
         if not self.tau > 0:
             raise ConfigError("tau", "must be positive")
         if self.loss_variant not in ("full", "ablated"):
             raise ConfigError("loss_variant", f"unknown variant {self.loss_variant!r}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError("optimizer", f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass
@@ -287,51 +313,100 @@ class TrainResult:
     config: TrainConfig
 
 
+def _grad(p: Tensor) -> np.ndarray:
+    return p.grad if p.grad is not None else np.zeros_like(p.data)
+
+
 class _Sgd:
-    def __init__(self, config: TrainConfig):
+    def __init__(self, config):
         self.lr = config.learning_rate
 
-    def step(self, name: str, value: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        return value - self.lr * grad
+    def step(self, params: Mapping[str, Tensor]) -> dict[str, np.ndarray]:
+        return {name: p.data - self.lr * _grad(p) for name, p in params.items()}
 
 
 class _Adam:
-    def __init__(self, config: TrainConfig):
+    def __init__(self, config):
         self.lr = config.learning_rate
         self.b1, self.b2, self.eps = config.adam_beta1, config.adam_beta2, config.adam_eps
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 
-    def begin_step(self):
+    def step(self, params: Mapping[str, Tensor]) -> dict[str, np.ndarray]:
         self.t += 1
-
-    def step(self, name: str, value: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        m = self.m.get(name)
-        if m is None:
-            m = np.zeros_like(value)
-            self.v[name] = np.zeros_like(value)
-        v = self.v[name]
-        m = self.b1 * m + (1.0 - self.b1) * grad
-        v = self.b2 * v + (1.0 - self.b2) * grad * grad
-        self.m[name], self.v[name] = m, v
-        m_hat = m / (1.0 - self.b1**self.t)
-        v_hat = v / (1.0 - self.b2**self.t)
-        return value - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        updated = {}
+        for name, p in params.items():
+            grad = _grad(p)
+            m = self.b1 * self.m.get(name, 0.0) + (1.0 - self.b1) * grad
+            v = self.b2 * self.v.get(name, 0.0) + (1.0 - self.b2) * grad * grad
+            self.m[name], self.v[name] = m, v
+            m_hat = m / (1.0 - self.b1**self.t)
+            v_hat = v / (1.0 - self.b2**self.t)
+            updated[name] = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        return updated
 
 
-def make_optimizer(config) -> "_Adam | _Sgd":
-    """Works for any config carrying optimizer/learning_rate/adam_* fields."""
-    return _Adam(config) if config.optimizer == "adam" else _Sgd(config)
+def fit(
+    params: ParameterSet,
+    loss_fn: Callable[[np.ndarray], Tensor],
+    n: int,
+    config,
+    purpose: int,
+    min_batch: int,
+    what: str,
+) -> list[list[tuple[float, int]]]:
+    """Minimize `loss_fn` over minibatches of n samples; mutates `params`.
+
+    Each epoch draws a permutation from the stream (config.seed, purpose,
+    epoch) and steps once per batch of config.batch_size indices; a trailing
+    batch smaller than `min_batch` is dropped. `loss_fn` maps the batch
+    indices to a scalar loss recorded on the tape. A non-finite loss or a
+    domain error aborts with a NumericError that names `what` failed, the
+    epoch, the step and the shuffle seed. Returns, per epoch, the (loss,
+    batch size) of every step taken.
+    """
+    optimizer = _Adam(config) if config.optimizer == "adam" else _Sgd(config)
+    epochs = []
+    step = 0
+    for epoch in range(config.epochs):
+        perm = rng.stream(config.seed, purpose, epoch).permutation(n)
+        steps = []
+        for start in range(0, n, config.batch_size):
+            idx = perm[start : start + config.batch_size]
+            if idx.size < min_batch:
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    with Tape() as tape:
+                        loss = loss_fn(idx)
+                    value = float(loss.data)
+                    if not math.isfinite(value):
+                        raise NumericError(
+                            f"non-finite {what} {value!r} (shuffle stream seed={config.seed})",
+                            epoch=epoch,
+                            step=step,
+                        )
+                    tape.backward(loss)
+                except DomainError as err:
+                    raise NumericError(
+                        f"{what} computation failed: {err} (shuffle stream seed={config.seed})",
+                        epoch=epoch,
+                        step=step,
+                    ) from err
+            if config.learning_rate > 0:
+                params.replace_parameters(optimizer.step(params.parameters()))
+            steps.append((value, idx.size))
+            step += 1
+        epochs.append(steps)
+    return epochs
 
 
 def train(model: GmcModel, dataset, config: TrainConfig = TrainConfig()) -> TrainResult:
     """Fit the model on the dataset's train split; mutates `model` in place.
 
-    Batches are full per-epoch permutations from a stream keyed on
-    (config.seed, epoch); a trailing batch with fewer than 2 samples is
-    dropped because the loss has no negatives there. A non-finite loss
-    aborts immediately with the offending epoch and step.
+    A trailing batch with fewer than 2 samples is dropped: the loss has no
+    negatives there.
     """
     if dataset.modality_count != model.modality_count:
         raise ConfigError(
@@ -344,52 +419,14 @@ def train(model: GmcModel, dataset, config: TrainConfig = TrainConfig()) -> Trai
     if n < 2:
         raise ConfigError("dataset", "train split needs at least 2 samples")
 
-    optimizer = make_optimizer(config)
-    epoch_losses, epoch_term_means = [], []
-    step = 0
-    for epoch in range(config.epochs):
-        perm = rng.stream(config.seed, rng.SHUFFLE, epoch).permutation(n)
-        losses, term_means = [], []
-        for start in range(0, n, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            if idx.size < 2:
-                continue
-            with np.errstate(over="ignore", invalid="ignore"):
-                try:
-                    with Tape() as tape:
-                        loss = batch_loss(
-                            model, [x[idx] for x in xs], xc[idx], config.tau, config.loss_variant
-                        )
-                    value = float(loss.data)
-                    if not math.isfinite(value):
-                        raise NumericError(
-                            f"non-finite loss {value!r} (shuffle stream seed={config.seed})",
-                            epoch=epoch,
-                            step=step,
-                        )
-                    tape.backward(loss)
-                except DomainError as err:
-                    raise NumericError(
-                        f"loss computation failed: {err} (shuffle stream seed={config.seed})",
-                        epoch=epoch,
-                        step=step,
-                    ) from err
-            if config.learning_rate > 0:
-                if isinstance(optimizer, _Adam):
-                    optimizer.begin_step()
-                updates = {}
-                for name, p in model.parameters().items():
-                    grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-                    updates[name] = optimizer.step(name, p.data, grad)
-                model.replace_parameters(updates)
-            losses.append(value)
-            term_means.append(value / positive_term_count_of(model, idx.size))
-            step += 1
-        epoch_losses.append(float(np.mean(losses)))
-        epoch_term_means.append(float(np.mean(term_means)))
-    return TrainResult(epoch_losses, epoch_term_means, step, config)
+    def loss_fn(idx):
+        return batch_loss(model, [x[idx] for x in xs], xc[idx], config.tau, config.loss_variant)
 
-
-def positive_term_count_of(model: GmcModel, batch_size: int) -> int:
-    """M*B, the number of positive pairs contributing to one batch loss."""
-    return model.modality_count * batch_size
+    epochs = fit(model, loss_fn, n, config, rng.SHUFFLE, 2, "loss")
+    m = model.modality_count
+    return TrainResult(
+        [float(np.mean([value for value, _ in steps])) for steps in epochs],
+        [float(np.mean([value / (m * b) for value, b in steps])) for steps in epochs],
+        sum(len(steps) for steps in epochs),
+        config,
+    )

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import DataError, FormatError
+from .errors import ConfigError, DataError, FormatError
 from .model import EncoderSpec, GmcModel
 from .synthdata import MultimodalDataset
 
@@ -72,22 +72,30 @@ def load_checkpoint(path) -> GmcModel:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise FormatError(f"not a checkpoint: bad magic {magic!r}")
-        (header_len,) = struct.unpack("<I", fh.read(4))
+        length = fh.read(4)
+        if len(length) != 4:
+            raise FormatError("checkpoint truncated in header length")
+        (header_len,) = struct.unpack("<I", length)
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as err:
             raise FormatError(f"corrupt checkpoint header: {err}") from err
+        if not isinstance(header, dict):
+            raise FormatError("corrupt checkpoint header: not a JSON object")
         if header.get("version") != CHECKPOINT_VERSION:
             raise FormatError(f"unsupported checkpoint version {header.get('version')!r}")
-        model = GmcModel(
-            [_spec_from_header(s) for s in header["base_specs"]],
-            _spec_from_header(header["head_spec"]),
-            seed=header["seed"],
-        )
+        try:
+            model = GmcModel(
+                [_spec_from_header(s) for s in header["base_specs"]],
+                _spec_from_header(header["head_spec"]),
+                seed=header["seed"],
+            )
+            entries = [(str(e["name"]), tuple(e["shape"])) for e in header["parameters"]]
+        except (KeyError, TypeError, ValueError, ConfigError) as err:
+            raise FormatError(f"corrupt checkpoint header: missing or malformed field ({err})") from err
         expected = model.parameters()
         values = {}
-        for entry in header["parameters"]:
-            name, shape = entry["name"], tuple(entry["shape"])
+        for name, shape in entries:
             if name not in expected or expected[name].shape != shape:
                 raise FormatError(f"checkpoint parameter {name!r} does not fit the model shape")
             count = int(np.prod(shape)) if shape else 1
@@ -196,6 +204,8 @@ def load_dataset(dataset_dir) -> MultimodalDataset:
     header, label_data = read_matrix_csv(root / "labels.csv")
     if header != ["label", "is_train"]:
         raise FormatError(f"labels.csv has unexpected header {header!r}")
+    if label_data.size == 0:
+        raise DataError(f"labels.csv holds no rows: {dataset_dir}")
     labels = label_data[:, 0].astype(np.int64)
     is_train = label_data[:, 1].astype(bool)
     modalities = []

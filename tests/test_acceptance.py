@@ -386,16 +386,18 @@ def test_criterion_4_loss_cost_linear_in_modalities(capsys):
     for m_count, batch in enumerate(batches, start=1):
         assert positive_term_count(batch) == m_count * b
 
-    medians = []
     for batch in batches:
         mnt_xent(batch, 0.1)
         mnt_xent(batch, 0.1)
-        reps = []
-        for _ in range(7):
+    # every repetition times all eight batches in turn, so a drift in machine
+    # speed spreads over every M instead of landing on a run of M values
+    reps = [[] for _ in batches]
+    for _ in range(7):
+        for batch, times in zip(batches, reps):
             t0 = time.perf_counter()
             mnt_xent(batch, 0.1)
-            reps.append(time.perf_counter() - t0)
-        medians.append(sorted(reps)[3])
+            times.append(time.perf_counter() - t0)
+    medians = [sorted(times)[3] for times in reps]
 
     ms = np.arange(1, 9, dtype=np.float64)
     y = np.array(medians)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,36 @@ GOLDEN_DEFAULT_DATASET = {
     "modality_2.csv": "56750650a3394b0b4d2f2caa42e42bae0846c74aa9d9c0e88832400819c9e03c",
     "modality_3.csv": "ee9632e2ea2246dc32f36a2d1871526b2c8cc2a1e2c9a1b0775b77c3636a09e2",
     "labels.csv": "cc45c94331f2e4cf3ea4370535144b9d181d79ec57d5d1a486d3e0eed150fce5",
+}
+
+# Hashes of what training, the probe and the sweep write from the configs in
+# TestGoldenTrainingOutputs, frozen before the training loops were merged.
+# A change here means optimizer arithmetic, shuffle streams or an artifact
+# format drifted.
+GOLDEN_TRAINING_OUTPUTS = {
+    "probe_adam/robustness.csv": "5d8bddb406e6be008daddaa3cf6f6c0e4f29e121574815f0ec61b4f7124b660f",
+    "probe_sgd/robustness.csv": "6ca1f1456da9a0a4056d027b673c52f968551875705c09b72e691ce4f4f5cb0a",
+    "run/checkpoint.gmc": "0249006b1e170ebf67cc288f04d8d70fac543d6e3b0234e7edcdd10f074b4ad0",
+    "run/loss_trace.csv": "1319b7ffbff92173c4100787d5fcaacf8ec4513b942f87d7ac0878b093b123d8",
+    "sgd/checkpoint.gmc": "cc15d86f36d52b102bf88f354b7b7f351c59fd71592182a018aae499be0559af",
+    "sgd/loss_trace.csv": "39c90e1d5ef9c586c964b97708fc3edb320c29ddb3ab713950988afa5b7b984f",
+    "sweep/aggregate.csv": "e232693e367fab7d455f8be49d88c1d18f3a5581bba8dc5e68c44eb123c8a5f6",
+    "sweep/run_000_tau0.1_loss_variantfull/checkpoint.gmc": "141956c12377f55a886fafda56b8a71d1bec682cea72dffef07d8703951a6d34",
+    "sweep/run_000_tau0.1_loss_variantfull/dca.csv": "e878c1dc01bceac43d41698d57a212250ca39bb7d292caff91647c5462fb77f9",
+    "sweep/run_000_tau0.1_loss_variantfull/loss_trace.csv": "42ac6bc36652178f5d7edc27a1350e717ba48dd5f5a8a2289d97dc2dc7eddf80",
+    "sweep/run_000_tau0.1_loss_variantfull/robustness.csv": "5dc73cde66250542b2b67466746afb114662ec4371de3211a53d4a83c375cc9f",
+    "sweep/run_001_tau0.1_loss_variantablated/checkpoint.gmc": "4d1e9f00abae5e390039b72fe8599a89b8f4f01a59fe322a05e6c1b753ab5cda",
+    "sweep/run_001_tau0.1_loss_variantablated/dca.csv": "46a0a79d81b771557cb64d3a2dc0308534af3480c565ea47474cca1399ac2e99",
+    "sweep/run_001_tau0.1_loss_variantablated/loss_trace.csv": "f488af8c01aa70bb4a0fcb8ceb1d6f88466e6d2daaacd35be75f6244a400a11a",
+    "sweep/run_001_tau0.1_loss_variantablated/robustness.csv": "5dc73cde66250542b2b67466746afb114662ec4371de3211a53d4a83c375cc9f",
+    "sweep/run_002_tau0.2_loss_variantfull/checkpoint.gmc": "e8486e14b48c20a25115da03b33bbff9f893a092e6c2e70df5cb61c33de15502",
+    "sweep/run_002_tau0.2_loss_variantfull/dca.csv": "ecf7db736ebd60a9871b54e2096bb265b5d4487b6c80393c7418feac0e03533e",
+    "sweep/run_002_tau0.2_loss_variantfull/loss_trace.csv": "76c9d677438c531bb36b831ff0a246647691852d923478e71c7297472df9ed3e",
+    "sweep/run_002_tau0.2_loss_variantfull/robustness.csv": "5dc73cde66250542b2b67466746afb114662ec4371de3211a53d4a83c375cc9f",
+    "sweep/run_003_tau0.2_loss_variantablated/checkpoint.gmc": "4fa6ee2013c32011e7f3bf507b4134e2aef241a5bb8eb48cea4519d4a6c5ed69",
+    "sweep/run_003_tau0.2_loss_variantablated/dca.csv": "59a14fda50f246c2ade55c6837a88ea8099c6b104ff54a2329feb26620a9f18d",
+    "sweep/run_003_tau0.2_loss_variantablated/loss_trace.csv": "7082713fe2c1812f1e9073dc0cdec805253d826a867f6ba33918cf46aa2046b6",
+    "sweep/run_003_tau0.2_loss_variantablated/robustness.csv": "5dc73cde66250542b2b67466746afb114662ec4371de3211a53d4a83c375cc9f",
 }
 
 SYNTH = {"n_samples": 200, "n_classes": 4, "modality_dims": [8, 6], "style_dim": 2, "seed": 3}
@@ -142,6 +173,13 @@ class TestTrain:
         manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
         assert manifest["config"]["train"]["loss_variant"] == "ablated"
 
+    def test_header_only_labels_is_a_data_error(self, workdir, tmp_path, capsys):
+        shutil.copytree(workdir / "data", tmp_path / "d")
+        (tmp_path / "d" / "labels.csv").write_text("label,is_train\n")
+        code = main(["train", "--dataset", str(tmp_path / "d"), "--out", str(tmp_path / "r")])
+        assert code == 3
+        assert capsys.readouterr().err.count("error:") == 1
+
     def test_missing_dataset_is_a_data_error(self, workdir, tmp_path):
         code = main(["train", "--dataset", str(tmp_path / "nowhere"), "--out", str(tmp_path / "r")])
         assert code == 3
@@ -197,6 +235,41 @@ class TestEncode:
             ]
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            None,  # the file ends one byte into the header length
+            lambda h: [h],
+            lambda h: {"version": 1},
+            lambda h: {**h, "parameters": [{"name": ["head/w0"], "shape": [16, 16]}]},
+        ],
+        ids=["short-length", "array-header", "keyless-header", "list-parameter-name"],
+    )
+    def test_broken_checkpoint_is_a_format_error(self, workdir, tmp_path, capsys, header):
+        blob = (workdir / "run" / "checkpoint.gmc").read_bytes()
+        if header is None:
+            blob = blob[:5]
+        else:
+            end = 8 + int.from_bytes(blob[4:8], "little")
+            raw = json.dumps(header(json.loads(blob[8:end]))).encode()
+            blob = blob[:4] + len(raw).to_bytes(4, "little") + raw + blob[end:]
+        (tmp_path / "broken.gmc").write_bytes(blob)
+        code = main(
+            [
+                "encode",
+                "--checkpoint",
+                str(tmp_path / "broken.gmc"),
+                "--dataset",
+                str(workdir / "data"),
+                "--pathway",
+                "1",
+                "--out",
+                str(tmp_path / "x"),
+            ]
+        )
+        assert code == 3
+        assert capsys.readouterr().err.count("error:") == 1
 
     def test_dimension_mismatch_is_a_contract_error(self, workdir, tmp_path):
         other = write_json(tmp_path / "s.json", {**SYNTH, "modality_dims": [8, 7]})
@@ -404,6 +477,49 @@ class TestReproducibility:
         assert files_a == files_b
         for rel in files_a:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes(), rel
+
+
+class TestGoldenTrainingOutputs:
+    def test_trained_artifacts_match_golden_hashes(self, workdir, tmp_path, monkeypatch):
+        """Pins the bytes training, the probe and the sweep write.
+
+        `workdir` already holds gen-data on SYNTH and `train` on TRAIN (Adam,
+        full loss) in run/. Manifests are left out: they hold paths as given.
+        """
+        data, ckpt = str(workdir / "data"), str(workdir / "run" / "checkpoint.gmc")
+        sgd = write_json(
+            tmp_path / "sgd.json",
+            {**TRAIN, "optimizer": "sgd", "learning_rate": 0.01, "loss_variant": "ablated"},
+        )
+        assert main(["train", "--config", sgd, "--dataset", data, "--out", str(tmp_path / "sgd")]) == 0
+        probes = {
+            "probe_adam": {"epochs": 3, "hidden": [16]},
+            "probe_sgd": {"epochs": 3, "hidden": [16], "optimizer": "sgd", "learning_rate": 0.05},
+        }
+        for name, probe in probes.items():
+            cfg = write_json(tmp_path / f"{name}.json", probe)
+            code = main(
+                ["eval-probe", "--checkpoint", ckpt, "--dataset", data, "--config", cfg,
+                 "--out", str(tmp_path / name)]
+            )
+            assert code == 0
+        sweep = write_json(
+            tmp_path / "sweep.json",
+            {**TRAIN, "epochs": 1, "tau": [0.1, 0.2], "loss_variant": ["full", "ablated"]},
+        )
+        monkeypatch.setenv("GMC_THREADS", "1")
+        assert main(["sweep", "--config", sweep, "--dataset", data, "--out", str(tmp_path / "sweep")]) == 0
+
+        out_dirs = {"run": workdir / "run", "sgd": tmp_path / "sgd", "sweep": tmp_path / "sweep"}
+        out_dirs.update({name: tmp_path / name for name in probes})
+        out_dirs.update({f"sweep/{p.name}": p for p in (tmp_path / "sweep").iterdir() if p.is_dir()})
+        got = {
+            f"{label}/{f.name}": sha256_file(f)
+            for label, d in out_dirs.items()
+            for f in d.iterdir()
+            if f.is_file() and f.name != "manifest.json"
+        }
+        assert got == GOLDEN_TRAINING_OUTPUTS
 
 
 class TestEntryPoints:

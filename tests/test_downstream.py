@@ -103,6 +103,12 @@ class TestProbeConfig:
             ({"learning_rate": -1e-3}, "learning_rate"),
             ({"hidden": (0,)}, "hidden"),
             ({"optimizer": "rmsprop"}, "optimizer"),
+            ({"epochs": 1.5}, "epochs"),
+            ({"epochs": True}, "epochs"),
+            ({"batch_size": 64.5}, "batch_size"),
+            ({"seed": 0.5}, "seed"),
+            ({"hidden": (1.5,)}, "hidden"),
+            ({"hidden": (16, True)}, "hidden"),
         ],
     )
     def test_rejects_bad_field(self, kwargs, key):

@@ -228,6 +228,11 @@ class TestTrainConfig:
             ({"tau": 0.0}, "tau"),
             ({"loss_variant": "contrastive"}, "loss_variant"),
             ({"optimizer": "lbfgs"}, "optimizer"),
+            ({"epochs": 1.5}, "epochs"),
+            ({"epochs": True}, "epochs"),
+            ({"batch_size": 64.5}, "batch_size"),
+            ({"seed": 1.0}, "seed"),
+            ({"seed": False}, "seed"),
         ],
     )
     def test_rejects_bad_field(self, kwargs, key):
