@@ -33,8 +33,9 @@ from .errors import (
     DomainError,
     NumericError,
     ShapeError,
+    require_integer,
 )
-from .model import GmcModel, TrainConfig, require_integer, train
+from .model import GmcModel, TrainConfig, train
 from .persist import (
     hash_entry,
     load_checkpoint,

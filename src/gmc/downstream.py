@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, require_integer
 from .model import (
     EncoderSpec,
     GmcModel,
@@ -22,7 +22,6 @@ from .model import (
     fit,
     init_mlp_params,
     mlp_forward,
-    require_integer,
 )
 from .tensor import Tensor, add, dot, exp, log, matmul, scale
 from .tensor import sum as tsum

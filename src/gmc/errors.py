@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises ConfigError."""
 
 from __future__ import annotations
+
+import numbers
 
 
 class GmcError(Exception):
@@ -41,6 +43,13 @@ class ConfigError(GmcError):
     def __init__(self, key: str, message: str):
         self.key = key
         super().__init__(f"config key '{key}': {message}")
+
+
+def require_integer(key: str, value) -> None:
+    """Integer config fields reject floats and bools: `range` fails on 1.5
+    mid-run and reads True as 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(key, f"must be an integer, got {value!r}")
 
 
 class DataError(GmcError):

@@ -16,8 +16,10 @@ per-term mean is reported separately where traces need comparability).
 The ablated variant replaces Omega_m(i) by the complete-vs-complete mass
 alone, Omega*(i) = sum_{j != i} s_{c,c}(i,j), which is independent of m.
 
-The differentiable path materializes only the (m,c), (m,m), and (c,c)
-similarity blocks, so cost stays linear in M. A literal float path
+The differentiable path normalizes each pathway's rows with one
+`row_normalize` call, materializes only the (m,c), (m,m), and (c,c)
+similarity blocks, so cost stays linear in M, and drops the j = i terms
+with a -inf diagonal shift, which is exact for every tau. A literal float path
 (`negative_mass`, `pair_loss`) mirrors the formulas term by term for
 inspection and cross-checking.
 """
@@ -34,10 +36,10 @@ from .errors import ContractError, DegenerateVectorError, ShapeError
 from .tensor import Tensor
 
 _NORM_EPS = 1e-12
-# Added to the cosine diagonal before exp: exp((cos - 1e9)/tau) underflows to
-# zero for any sane tau, which removes the j = i terms from row sums without
-# touching their gradient (the true gradient of an excluded term is zero).
-_DIAG_SHIFT = -1.0e9
+# Added to the cosine diagonal before exp: exp(-inf) is exactly zero for every
+# tau, which removes the j = i terms from row sums without touching their
+# gradient (the true gradient of an excluded term is zero).
+_DIAG_SHIFT = -math.inf
 
 
 @dataclass(frozen=True)
@@ -206,22 +208,16 @@ class _SimilarityBlocks:
         self._cos: dict[tuple[int, int], Tensor] = {}
         self._masked_exp: dict[tuple[int, int], Tensor] = {}
         b = batch.batch_size
-        self._diag_shift = Tensor(np.eye(b) * _DIAG_SHIFT)
+        self._diag_shift = Tensor(np.where(np.eye(b, dtype=bool), _DIAG_SHIFT, 0.0))
 
     def normalized(self, a: int) -> Tensor:
         got = self._normalized.get(a)
         if got is not None:
             return got
-        z = self._tensors[a]
-        rows = []
-        for i in range(z.shape[0]):
-            row = T.slice(z, i, i + 1, axis=0)
-            norm = T.l2_norm(row)
-            if norm.item() <= _NORM_EPS:
-                raise DegenerateVectorError(self._batch.pathway_label(a), i)
-            inv = T.exp(T.scale(T.log(norm), -1.0))
-            rows.append(T.scale(row, inv))
-        out = T.concat(rows, axis=0)
+        out, norms = T.row_normalize(self._tensors[a])
+        bad = np.flatnonzero(norms <= _NORM_EPS)
+        if bad.size:
+            raise DegenerateVectorError(self._batch.pathway_label(a), int(bad[0]))
         self._normalized[a] = out
         return out
 

@@ -14,14 +14,13 @@ counter-based streams keyed on their seeds, so runs reproduce bit for bit.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, DomainError, NumericError, ShapeError
+from .errors import ConfigError, DomainError, NumericError, ShapeError, require_integer
 from .loss import RepresentationBatch, mnt_xent, mnt_xent_ablated
 from .tensor import Tape, Tensor, add, matmul, relu, swish
 
@@ -260,8 +259,7 @@ def batch_loss(model: GmcModel, modality_arrays, complete_array, tau, variant: s
 
 
 def check_loop_config(config) -> None:
-    """Validation shared by the configs that drive `fit`. Integer fields
-    reject floats and bools: `range` fails on 1.5 mid-run and reads True as 1."""
+    """Validation shared by the configs that drive `fit`."""
     for key in ("epochs", "batch_size", "seed"):
         require_integer(key, getattr(config, key))
     if config.epochs < 1:
@@ -272,11 +270,6 @@ def check_loop_config(config) -> None:
         raise ConfigError("learning_rate", "must be non-negative")
     if config.optimizer not in ("adam", "sgd"):
         raise ConfigError("optimizer", f"unknown optimizer {config.optimizer!r}")
-
-
-def require_integer(key: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(key, f"must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,8 @@ def load_checkpoint(path) -> GmcModel:
             if len(raw) != 8 * count:
                 raise FormatError(f"checkpoint truncated in parameter {name!r}")
             values[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+            if not np.all(np.isfinite(values[name])):
+                raise FormatError(f"checkpoint parameter {name!r} holds a non-finite value")
         if len(values) != len(expected):
             raise FormatError("checkpoint is missing parameters")
         if fh.read(1):
@@ -146,6 +148,9 @@ def read_matrix_csv(path) -> tuple[list[str], np.ndarray]:
         raise DataError(f"non-numeric cell in {path}: {err}") from err
     if lines[1:] and data.shape[1] != len(header):
         raise DataError(f"ragged CSV {path}: {data.shape[1]} columns vs {len(header)} header fields")
+    if not np.all(np.isfinite(data)):
+        row, col = np.argwhere(~np.isfinite(data))[0]
+        raise DataError(f"non-finite cell in {path}: data row {row + 1}, column {header[col]}")
     return header, data
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .errors import ConfigError
+from .errors import ConfigError, require_integer
 
 DEFAULT_MODALITY_DIMS = (20, 16, 12)
 
@@ -36,6 +36,10 @@ class SynthConfig:
     label_modality: bool = False
 
     def __post_init__(self):
+        for key in ("n_samples", "n_classes", "style_dim", "seed"):
+            require_integer(key, getattr(self, key))
+        for d in self.modality_dims:
+            require_integer("modality_dims", d)
         object.__setattr__(self, "modality_dims", tuple(int(d) for d in self.modality_dims))
         if self.n_classes < 2:
             raise ConfigError("n_classes", "need at least 2 classes")

@@ -12,10 +12,9 @@ other threads once the forward pass is done.
 
 from __future__ import annotations
 
-import builtins
 import contextvars
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -65,10 +64,6 @@ class Tensor:
         if self.data.size != 1:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        """A gradient-free tensor sharing this tensor's values."""
-        return Tensor._from_owned(self.data.copy())
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -147,10 +142,6 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], bwd: Callable) -> Tensor:
     return out
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 # --- primitives ------------------------------------------------------------
 
 
@@ -185,20 +176,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def scale(x: Tensor, factor) -> Tensor:
-    """Multiply by a scalar, either a Python number or a one-element tensor."""
-    if isinstance(factor, Tensor):
-        if factor.size != 1:
-            raise ShapeError("scale", x.shape, factor.shape)
-        f = float(factor.data.reshape(()))
-        out = Tensor._from_owned(x.data * f)
-
-        def bwd(g: np.ndarray):
-            gf = np.asarray((g * x.data).sum()).reshape(factor.shape)
-            return (g * f, gf)
-
-        return _record(out, (x, factor), bwd)
-
+def scale(x: Tensor, factor: float) -> Tensor:
+    """Multiply by a Python number."""
     f = float(factor)
     out = Tensor._from_owned(x.data * f)
     return _record(out, (x,), lambda g: (g * f,))
@@ -246,73 +225,27 @@ def sum(x: Tensor, axis: int | None = None) -> Tensor:  # noqa: A001 - op vocabu
     return _record(out, (x,), bwd)
 
 
-def mean(x: Tensor, axis: int | None = None) -> Tensor:
-    if x.size == 0:
-        raise ShapeError("mean", x.shape)
-    if axis is not None and not -x.data.ndim <= axis < x.data.ndim:
-        raise ShapeError("mean", x.shape, (axis,))
-    out = Tensor._from_owned(np.mean(x.data, axis=axis))
-    n = x.size if axis is None else x.shape[axis]
+def row_normalize(x: Tensor) -> tuple[Tensor, np.ndarray]:
+    """Each row of a 2-D tensor divided by its Euclidean norm.
+
+    Returns the output and the row norms, so the caller can reject rows too
+    short to have a direction. A zero row comes out as a zero row, without
+    a division by zero.
+    """
+    if x.data.ndim != 2:
+        raise ShapeError("row_normalize", x.shape)
+    norms = np.sqrt(np.sum(x.data * x.data, axis=1))
+    safe = np.where(norms > 0.0, norms, 1.0)
+    # exp(-log n), not 1/n: the two differ in the last bit, and this is the
+    # rounding every recorded checkpoint and loss trace was trained with.
+    inv = np.exp(-np.log(safe))
+    out = Tensor._from_owned(x.data * inv[:, None])
 
     def bwd(g: np.ndarray):
-        if axis is None:
-            return (np.broadcast_to(g / n, x.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis) / n, x.shape).copy(),)
+        g_norm = ((np.sum(g * x.data, axis=1) * inv) * -1.0) / safe
+        return (g * inv[:, None] + (g_norm / safe)[:, None] * x.data,)
 
-    return _record(out, (x,), bwd)
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if len(tensors) == 0:
-        raise ContractError("concat needs at least one tensor")
-    ndim = tensors[0].data.ndim
-    if ndim == 0:
-        raise ShapeError("concat", tensors[0].shape)
-    for t in tensors[1:]:
-        if t.data.ndim != ndim or any(
-            i != axis % ndim and t.shape[i] != tensors[0].shape[i] for i in range(ndim)
-        ):
-            raise ShapeError("concat", tensors[0].shape, t.shape)
-    out = Tensor._from_owned(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.shape[axis % ndim] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g: np.ndarray):
-        return tuple(piece.copy() for piece in np.split(g, splits, axis=axis))
-
-    return _record(out, tuple(tensors), bwd)
-
-
-def slice(x: Tensor, start: int, stop: int, axis: int = 0) -> Tensor:  # noqa: A001
-    """Contiguous sub-range along one axis (keeps dimensionality)."""
-    if x.data.ndim == 0:
-        raise ShapeError("slice", x.shape)
-    axis = axis % x.data.ndim
-    extent = x.shape[axis]
-    if not (0 <= start < stop <= extent):
-        raise ContractError(f"slice range [{start}, {stop}) invalid for extent {extent}")
-    index = tuple(builtins.slice(start, stop) if i == axis else builtins.slice(None) for i in range(x.data.ndim))
-    out = Tensor._from_owned(x.data[index].copy())
-
-    def bwd(g: np.ndarray):
-        full = np.zeros(x.shape)
-        full[index] = g
-        return (full,)
-
-    return _record(out, (x,), bwd)
-
-
-def l2_norm(x: Tensor) -> Tensor:
-    """Euclidean norm of the flattened tensor; gradient is zero at the origin."""
-    value = math.sqrt(float(np.sum(x.data * x.data)))
-    out = Tensor._from_owned(np.asarray(value))
-
-    def bwd(g: np.ndarray):
-        if value == 0.0:
-            return (np.zeros(x.shape),)
-        return (float(g) / value * x.data,)
-
-    return _record(out, (x,), bwd)
+    return _record(out, (x,), bwd), norms
 
 
 def dot(u: Tensor, v: Tensor) -> Tensor:
@@ -326,33 +259,6 @@ def dot(u: Tensor, v: Tensor) -> Tensor:
         return (gf * v.data, gf * u.data)
 
     return _record(out, (u, v), bwd)
-
-
-_PRIMITIVES: dict[str, Callable] = {
-    "matmul": matmul,
-    "add": add,
-    "scale": scale,
-    "relu": relu,
-    "swish": swish,
-    "exp": exp,
-    "log": log,
-    "sum": sum,
-    "mean": mean,
-    "concat": concat,
-    "slice": slice,
-    "l2_norm": l2_norm,
-    "dot": dot,
-}
-
-
-def primitive_forward(op: str, inputs: Sequence[Tensor], **kwargs) -> Tensor:
-    """Dispatch one primitive by name. `concat` takes the input list whole."""
-    if op not in _PRIMITIVES:
-        raise ContractError(f"unknown primitive '{op}'")
-    fn = _PRIMITIVES[op]
-    if op == "concat":
-        return fn(list(inputs), **kwargs)
-    return fn(*inputs, **kwargs)
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, step: float = 1e-6) -> float:

@@ -376,7 +376,9 @@ def test_criterion_3_alignment_scores_exhaustive_small_graphs(capsys):
 
 def test_criterion_4_loss_cost_linear_in_modalities(capsys):
     start = time.perf_counter()
-    b, s = 64, 64
+    # B = 256 makes one call take milliseconds, so each added modality costs
+    # far more than timer and cache noise and R^2 stays clear of 0.95
+    b, s = 256, 64
     gen = np.random.default_rng(404)
     batches = []
     for m_count in range(1, 9):

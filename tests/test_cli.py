@@ -79,6 +79,13 @@ def workdir(tmp_path_factory):
     return root
 
 
+def _edit_header(blob, edit):
+    """A checkpoint whose JSON header is replaced by edit(header)."""
+    end = 8 + int.from_bytes(blob[4:8], "little")
+    raw = json.dumps(edit(json.loads(blob[8:end]))).encode()
+    return blob[:4] + len(raw).to_bytes(4, "little") + raw + blob[end:]
+
+
 def run_encode(workdir, pathway, split, out):
     return main(
         [
@@ -180,6 +187,19 @@ class TestTrain:
         assert code == 3
         assert capsys.readouterr().err.count("error:") == 1
 
+    @pytest.mark.parametrize("command", ["train", "encode"])
+    def test_non_finite_cell_is_a_data_error(self, workdir, tmp_path, capsys, command):
+        shutil.copytree(workdir / "data", tmp_path / "d")
+        path = tmp_path / "d" / "modality_1.csv"
+        lines = path.read_text().splitlines()
+        lines[13] = ",".join(["nan"] + lines[13].split(",")[1:])
+        path.write_text("\n".join(lines) + "\n")
+        args = ["--dataset", str(tmp_path / "d"), "--out", str(tmp_path / "r")]
+        if command == "encode":
+            args += ["--checkpoint", str(workdir / "run" / "checkpoint.gmc"), "--pathway", "1"]
+        assert main([command, *args]) == 3
+        assert capsys.readouterr().err.count("error:") == 1
+
     def test_missing_dataset_is_a_data_error(self, workdir, tmp_path):
         code = main(["train", "--dataset", str(tmp_path / "nowhere"), "--out", str(tmp_path / "r")])
         assert code == 3
@@ -237,23 +257,20 @@ class TestEncode:
         assert code == 3
 
     @pytest.mark.parametrize(
-        "header",
+        "corrupt",
         [
-            None,  # the file ends one byte into the header length
-            lambda h: [h],
-            lambda h: {"version": 1},
-            lambda h: {**h, "parameters": [{"name": ["head/w0"], "shape": [16, 16]}]},
+            lambda blob: blob[:5],  # the file ends one byte into the header length
+            lambda blob: _edit_header(blob, lambda h: [h]),
+            lambda blob: _edit_header(blob, lambda h: {"version": 1}),
+            lambda blob: _edit_header(
+                blob, lambda h: {**h, "parameters": [{"name": ["head/w0"], "shape": [16, 16]}]}
+            ),
+            lambda blob: blob[:-8] + np.array([np.nan], dtype="<f8").tobytes(),
         ],
-        ids=["short-length", "array-header", "keyless-header", "list-parameter-name"],
+        ids=["short-length", "array-header", "keyless-header", "list-parameter-name", "nan-weight"],
     )
-    def test_broken_checkpoint_is_a_format_error(self, workdir, tmp_path, capsys, header):
-        blob = (workdir / "run" / "checkpoint.gmc").read_bytes()
-        if header is None:
-            blob = blob[:5]
-        else:
-            end = 8 + int.from_bytes(blob[4:8], "little")
-            raw = json.dumps(header(json.loads(blob[8:end]))).encode()
-            blob = blob[:4] + len(raw).to_bytes(4, "little") + raw + blob[end:]
+    def test_broken_checkpoint_is_a_format_error(self, workdir, tmp_path, capsys, corrupt):
+        blob = corrupt((workdir / "run" / "checkpoint.gmc").read_bytes())
         (tmp_path / "broken.gmc").write_bytes(blob)
         code = main(
             [

@@ -172,14 +172,15 @@ def test_mnt_xent_orthogonal_closed_form():
 def test_mnt_xent_matches_oracle_and_term_count():
     rng = np.random.default_rng(0)
     batch = make_batch(rng, 4, 3, 6)
-    tau = 0.2
-    got = L.mnt_xent(batch, tau).item()
     zs, zc = to_lists(batch)
-    assert abs(got - mnt_xent_loops(zs, zc, tau)) < 1e-10
-    terms = L.loss_term_values(batch, tau)
-    assert terms.shape == (3, 4)
-    assert L.positive_term_count(batch) == 12
-    assert abs(terms.sum() - got) < 1e-10
+    # at tau = 1e9 the masked diagonal must still drop out exactly
+    for tau in (0.2, 1e9):
+        got = L.mnt_xent(batch, tau).item()
+        assert abs(got - mnt_xent_loops(zs, zc, tau)) < 1e-10
+        terms = L.loss_term_values(batch, tau)
+        assert terms.shape == (3, 4)
+        assert L.positive_term_count(batch) == 12
+        assert abs(terms.sum() - got) < 1e-10
 
 
 def test_mnt_xent_permutation_invariant():
@@ -222,10 +223,10 @@ def test_mnt_xent_ablated_matches_oracle():
     rng = np.random.default_rng(11)
     for _ in range(10):
         batch = make_batch(rng, int(rng.integers(2, 7)), int(rng.integers(1, 4)), 5)
-        tau = float(rng.uniform(0.05, 1.0))
         zs, zc = to_lists(batch)
-        got = L.mnt_xent_ablated(batch, tau).item()
-        assert abs(got - mnt_xent_ablated_loops(zs, zc, tau)) < 1e-10
+        for tau in (float(rng.uniform(0.05, 1.0)), 1e9):
+            got = L.mnt_xent_ablated(batch, tau).item()
+            assert abs(got - mnt_xent_ablated_loops(zs, zc, tau)) < 1e-10
 
 
 # --- differentiability ------------------------------------------------------
@@ -305,8 +306,10 @@ def test_degenerate_row_raises_in_both_paths():
     z = np.ones((3, 4))
     z[1] = 0.0
     batch = L.RepresentationBatch([Tensor(z)], Tensor(np.ones((3, 4))))
-    with pytest.raises(DegenerateVectorError):
+    with pytest.raises(DegenerateVectorError) as info:
         L.mnt_xent(batch, 0.1)
+    assert info.value.where == "modality_1"
+    assert info.value.index == 1
     with pytest.raises(DegenerateVectorError):
         L.negative_mass(batch, 0, 0, 0.1)
 

@@ -37,6 +37,11 @@ class TestConfigValidation:
             ({"train_fraction": 0.0}, "train_fraction"),
             ({"train_fraction": 1.0}, "train_fraction"),
             ({"n_samples": 1}, "n_samples"),
+            ({"n_samples": 100.5}, "n_samples"),
+            ({"n_classes": 4.0}, "n_classes"),
+            ({"style_dim": True}, "style_dim"),
+            ({"seed": 1.5}, "seed"),
+            ({"modality_dims": (20, 16.5)}, "modality_dims"),
         ],
     )
     def test_rejects_bad_field(self, kwargs, key):

@@ -93,44 +93,11 @@ def test_bias_add_gradient_sums_rows():
     assert np.array_equal(w.grad, np.ones((4, 3)))
 
 
-def test_scale_by_tensor_factor_gradients():
-    x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-    c = Tensor(2.0, requires_grad=True)
-    with Tape() as tape:
-        y = T.sum(T.scale(x, c))
-    tape.backward(y)
-    assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
-    assert c.grad.reshape(()) == 6.0
-
-
-def test_concat_and_slice_invert():
-    a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    b = Tensor(np.arange(6.0, 15.0).reshape(3, 3), requires_grad=True)
-    with Tape() as tape:
-        joined = T.concat([a, b], axis=0)
-        piece = T.slice(joined, 2, 5, axis=0)
-        y = T.sum(piece)
-    tape.backward(y)
-    assert np.array_equal(a.grad, np.zeros((2, 3)))
-    assert np.array_equal(b.grad, np.ones((3, 3)))
-
-
 def test_grad_check_sum_is_at_rounding_noise():
     # In exact arithmetic the error would be 0; in float64 the central
     # difference of a sum rounds at roughly ulp(x)/step, around 1e-10.
     x = Tensor(np.random.default_rng(0).normal(size=(3, 2)))
     assert grad_check(lambda t: T.sum(t), x) < 1e-9
-
-
-def test_grad_check_l2_norm_three_four():
-    x = Tensor([3.0, 4.0])
-    err = grad_check(lambda t: T.l2_norm(t), x)
-    assert err < 1e-7
-    probe = Tensor([3.0, 4.0], requires_grad=True)
-    with Tape() as tape:
-        y = T.l2_norm(probe)
-    tape.backward(y)
-    assert np.allclose(probe.grad, [0.6, 0.8], atol=1e-15)
 
 
 _SCALAR_CASES = {
@@ -142,13 +109,9 @@ _SCALAR_CASES = {
     "relu": lambda t: T.sum(T.relu(t)),
     "swish": lambda t: T.sum(T.swish(t)),
     "exp": lambda t: T.sum(T.exp(t)),
-    "mean": lambda t: T.mean(t),
-    "mean_axis": lambda t: T.sum(T.mean(t, axis=1)),
     "sum_axis": lambda t: T.sum(T.scale(T.sum(t, axis=0), 0.5)),
-    "concat": lambda t: T.sum(T.concat([t, T.scale(t, 2.0)], axis=1)),
-    "slice": lambda t: T.sum(T.slice(t, 1, 3, axis=1)),
-    "l2_norm": lambda t: T.l2_norm(t),
     "dot": lambda t: T.dot(t, Tensor(np.linspace(1, 2, 12).reshape(3, 4))),
+    "row_normalize": lambda t: T.dot(T.row_normalize(t)[0], Tensor(np.linspace(-1, 2, 12).reshape(3, 4))),
 }
 
 
@@ -185,16 +148,13 @@ def test_shape_error_names_primitive_and_shapes():
         T.add(Tensor(np.ones((2, 2))), Tensor(np.ones((3, 2))))
     with pytest.raises(ShapeError):
         T.dot(Tensor([1.0]), Tensor([1.0, 2.0]))
+    with pytest.raises(ShapeError):
+        T.row_normalize(Tensor([3.0, 4.0]))
 
 
 def test_log_rejects_non_positive_input():
     with pytest.raises(DomainError):
         T.log(Tensor([1.0, 0.0]))
-
-
-def test_slice_range_is_validated():
-    with pytest.raises(ContractError):
-        T.slice(Tensor(np.ones(4)), 2, 7)
 
 
 def test_backward_contract_checks():
@@ -226,15 +186,6 @@ def test_tensor_data_is_read_only():
     t = Tensor([1.0, 2.0])
     with pytest.raises(ValueError):
         t.data[0] = 5.0
-
-
-def test_primitive_forward_dispatch():
-    out = T.primitive_forward("dot", [Tensor([1.0, 2.0]), Tensor([3.0, 4.0])])
-    assert out.item() == 11.0
-    out = T.primitive_forward("concat", [Tensor([1.0]), Tensor([2.0])], axis=0)
-    assert np.array_equal(out.data, [1.0, 2.0])
-    with pytest.raises(ContractError):
-        T.primitive_forward("conv2d", [Tensor([1.0])])
 
 
 def test_tapes_are_independent_across_threads():
