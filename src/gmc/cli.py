@@ -292,6 +292,8 @@ def report_as_dict(report: DcaReport, k: int) -> dict:
 
 
 def cmd_eval_dca(args) -> None:
+    if args.k < 1:
+        raise ConfigError("--k", f"must be at least 1, got {args.k}")
     _, reference = read_matrix_csv(args.reference)
     _, evaluation = read_matrix_csv(args.evaluation)
     if reference.ndim != 2 or reference.shape[1] != evaluation.shape[1]:
@@ -469,11 +471,12 @@ def cmd_sweep(args) -> None:
     if args.seed is not None:
         raw["seed"] = args.seed
     base, axes = _sweep_axes(raw)
-    resolve_train_config(json.loads(json.dumps(base)), None, None)  # fail fast on bad keys
+    points = _grid_points(base, axes)
+    for _, raw_config in points:  # fail fast, before any point trains
+        resolve_train_config(raw_config, None, None)
     dataset = load_dataset(args.dataset)
     modality_count = len(dataset.modalities)
     del dataset
-    points = _grid_points(base, axes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     jobs = []

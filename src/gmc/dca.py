@@ -58,9 +58,6 @@ class LabeledPointCloud:
     def n_points(self) -> int:
         return self.points.shape[0]
 
-    def origin_labels(self) -> np.ndarray:
-        return np.where(self.is_reference, "R", "E")
-
 
 @dataclass(frozen=True)
 class NeighborhoodGraph:

@@ -1,12 +1,26 @@
-"""Exception types shared across the package, and the integer check that raises ConfigError."""
+"""Exception types shared across the package, and the integer and number checks that raise ConfigError."""
 
 from __future__ import annotations
 
+import math
 import numbers
 
 
 class GmcError(Exception):
     """Base class for every error this package raises on purpose."""
+
+    def __reduce__(self):
+        # Subclass constructors take other arguments than the formatted
+        # message in self.args, so the default pickling fails to rebuild them
+        # and an error raised in a sweep worker breaks the process pool.
+        return _rebuild, (type(self), self.args, self.__dict__)
+
+
+def _rebuild(cls, args, state):
+    err = Exception.__new__(cls)
+    err.args = args
+    err.__dict__.update(state)
+    return err
 
 
 class ShapeError(GmcError):
@@ -50,6 +64,16 @@ def require_integer(key: str, value) -> None:
     mid-run and reads True as 1."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(key, f"must be an integer, got {value!r}")
+
+
+def require_number(key: str, value, *, positive: bool = False, below: float = math.inf) -> None:
+    """Float config fields hold a finite number >= 0 (> 0 if `positive`) and
+    < `below`. Bools and strings are rejected, and NaN fails every range
+    comparison silently, so it is rejected up front."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(key, f"must be a finite number, got {value!r}")
+    if value < 0 or (positive and value == 0) or value >= below:
+        raise ConfigError(key, f"must lie in {'(' if positive else '['}0, {below}), got {value!r}")
 
 
 class DataError(GmcError):

@@ -16,18 +16,16 @@ per-term mean is reported separately where traces need comparability).
 The ablated variant replaces Omega_m(i) by the complete-vs-complete mass
 alone, Omega*(i) = sum_{j != i} s_{c,c}(i,j), which is independent of m.
 
-The differentiable path normalizes each pathway's rows with one
-`row_normalize` call, materializes only the (m,c), (m,m), and (c,c)
-similarity blocks, so cost stays linear in M, and drops the j = i terms
-with a -inf diagonal shift, which is exact for every tau. A literal float path
-(`negative_mass`, `pair_loss`) mirrors the formulas term by term for
-inspection and cross-checking.
+Each pathway's rows are normalized once with one `row_normalize` call, and
+only the (m,c), (m,m), and (c,c) similarity blocks are materialized, so cost
+stays linear in M. The j = i terms drop out through a -inf diagonal shift,
+which is exact for every tau.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
 
 import numpy as np
 
@@ -40,23 +38,6 @@ _NORM_EPS = 1e-12
 # tau, which removes the j = i terms from row sums without touching their
 # gradient (the true gradient of an excluded term is zero).
 _DIAG_SHIFT = -math.inf
-
-
-@dataclass(frozen=True)
-class Temperature:
-    """Softmax temperature; must be positive and finite."""
-
-    tau: float = 0.1
-
-    def __post_init__(self):
-        if not (isinstance(self.tau, (int, float)) and math.isfinite(self.tau) and self.tau > 0):
-            raise ContractError(f"temperature must be a positive finite number, got {self.tau!r}")
-
-
-def _tau_value(tau) -> float:
-    if isinstance(tau, Temperature):
-        return float(tau.tau)
-    return Temperature(float(tau)).tau
 
 
 class RepresentationBatch:
@@ -91,177 +72,49 @@ class RepresentationBatch:
     def modality_count(self) -> int:
         return len(self.per_modality)
 
-    @property
-    def latent_dim(self) -> int:
-        return self.complete.shape[1]
-
-    def pathway_label(self, index: int) -> str:
-        return "complete" if index == self.modality_count else f"modality_{index + 1}"
-
-
-# --- literal float path -----------------------------------------------------
-
-
-def cosine_similarity(u, v) -> float:
-    """cos(u, v) clamped to [-1, 1]; rejects near-zero-norm inputs."""
-    ua = np.asarray(u, dtype=np.float64)
-    va = np.asarray(v, dtype=np.float64)
-    if ua.ndim != 1 or va.ndim != 1 or ua.shape != va.shape:
-        raise ShapeError("cosine_similarity", ua.shape, va.shape)
-    nu = math.sqrt(float(ua @ ua))
-    nv = math.sqrt(float(va @ va))
-    if nu <= _NORM_EPS:
-        raise DegenerateVectorError("u")
-    if nv <= _NORM_EPS:
-        raise DegenerateVectorError("v")
-    c = float(ua @ va) / (nu * nv)
-    return min(1.0, max(-1.0, c))
-
-
-def similarity(z_a, z_b, tau) -> float:
-    """exp(cos(z_a, z_b) / tau); degrades to inf when tau is small enough
-    to overflow float64 (around tau < 1.4e-3 for aligned vectors)."""
-    try:
-        return math.exp(cosine_similarity(z_a, z_b) / _tau_value(tau))
-    except OverflowError:
-        return math.inf
-
-
-def _check_indices(batch: RepresentationBatch, m: int, i: int) -> None:
-    if not 0 <= m < batch.modality_count:
-        raise ContractError(f"modality index {m} outside [0, {batch.modality_count})")
-    if not 0 <= i < batch.batch_size:
-        raise ContractError(f"sample index {i} outside [0, {batch.batch_size})")
-
-
-def negative_mass(batch: RepresentationBatch, m: int, i: int, tau) -> float:
-    """Omega_m(i), written exactly as the formula reads."""
-    _check_indices(batch, m, i)
-    zm = batch.per_modality[m].data
-    zc = batch.complete.data
-    total = 0.0
-    for j in range(batch.batch_size):
-        if j == i:
-            continue
-        total += similarity(zm[i], zc[j], tau)
-        total += similarity(zm[i], zm[j], tau)
-        total += similarity(zc[i], zc[j], tau)
-    return total
-
-
-def ablated_negative_mass(batch: RepresentationBatch, i: int, tau) -> float:
-    """Omega*(i): complete-vs-complete mass only; the same for every modality."""
-    _check_indices(batch, 0, i)
-    zc = batch.complete.data
-    return float(
-        sum(similarity(zc[i], zc[j], tau) for j in range(batch.batch_size) if j != i)
-    )
-
-
-def pair_loss(batch: RepresentationBatch, m: int, i: int, tau) -> float:
-    """l_m(i) = -log(positive similarity / Omega_m(i))."""
-    _check_indices(batch, m, i)
-    pos = similarity(batch.per_modality[m].data[i], batch.complete.data[i], tau)
-    return -math.log(pos / negative_mass(batch, m, i, tau))
-
-
-def ablated_pair_loss(batch: RepresentationBatch, m: int, i: int, tau) -> float:
-    _check_indices(batch, m, i)
-    pos = similarity(batch.per_modality[m].data[i], batch.complete.data[i], tau)
-    return -math.log(pos / ablated_negative_mass(batch, i, tau))
-
-
-def loss_term_values(batch: RepresentationBatch, tau, variant: str = "full") -> np.ndarray:
-    """All M x B per-pair losses through the literal path."""
-    if variant not in ("full", "ablated"):
-        raise ContractError(f"unknown loss variant {variant!r}")
-    fn = pair_loss if variant == "full" else ablated_pair_loss
-    out = np.empty((batch.modality_count, batch.batch_size))
-    for m in range(batch.modality_count):
-        for i in range(batch.batch_size):
-            out[m, i] = fn(batch, m, i, tau)
-    return out
-
 
 def positive_term_count(batch: RepresentationBatch) -> int:
     """Number of positive-pair terms the total loss sums over: M * B."""
     return batch.modality_count * batch.batch_size
 
 
-# --- differentiable path ----------------------------------------------------
-
-
-class _SimilarityBlocks:
-    """Lazy per-pathway-pair similarity blocks for one batch.
-
-    Pathways are indexed 0..M-1 for modalities and M for complete. Only the
-    blocks a caller asks for are built; the full loss touches (m, c), (m, m),
-    and (c, c), never cross-modality pairs, keeping the term accounting
-    linear in M.
-    """
-
-    def __init__(self, batch: RepresentationBatch, tau: float):
-        self._batch = batch
-        self._tau = tau
-        self._tensors = list(batch.per_modality) + [batch.complete]
-        self._normalized: dict[int, Tensor] = {}
-        self._cos: dict[tuple[int, int], Tensor] = {}
-        self._masked_exp: dict[tuple[int, int], Tensor] = {}
-        b = batch.batch_size
-        self._diag_shift = Tensor(np.where(np.eye(b, dtype=bool), _DIAG_SHIFT, 0.0))
-
-    def normalized(self, a: int) -> Tensor:
-        got = self._normalized.get(a)
-        if got is not None:
-            return got
-        out, norms = T.row_normalize(self._tensors[a])
-        bad = np.flatnonzero(norms <= _NORM_EPS)
-        if bad.size:
-            raise DegenerateVectorError(self._batch.pathway_label(a), int(bad[0]))
-        self._normalized[a] = out
-        return out
-
-    def cos(self, a: int, b: int) -> Tensor:
-        key = (a, b)
-        got = self._cos.get(key)
-        if got is None:
-            got = T.matmul(self.normalized(a), self.normalized(b), transpose_b=True)
-            self._cos[key] = got
-        return got
-
-    def masked_exp(self, a: int, b: int) -> Tensor:
-        """exp(cos / tau) with the diagonal forced to (numerical) zero."""
-        key = (a, b)
-        got = self._masked_exp.get(key)
-        if got is None:
-            shifted = T.add(self.cos(a, b), self._diag_shift)
-            got = T.exp(T.scale(shifted, 1.0 / self._tau))
-            self._masked_exp[key] = got
-        return got
+def _unit_rows(z: Tensor, label: str) -> Tensor:
+    out, norms = T.row_normalize(z)
+    bad = np.flatnonzero(norms <= _NORM_EPS)
+    if bad.size:
+        raise DegenerateVectorError(label, int(bad[0]))
+    return out
 
 
 def _total_loss(batch: RepresentationBatch, tau, ablated: bool) -> Tensor:
-    t = _tau_value(tau)
-    blocks = _SimilarityBlocks(batch, t)
-    m_count = batch.modality_count
-    c = m_count  # complete pathway index
-    eye = Tensor(np.eye(batch.batch_size))
+    # Tape.backward sums fan-in gradients in reverse record order, so the
+    # order of the calls below fixes the trained bytes.
+    finite = isinstance(tau, numbers.Real) and not isinstance(tau, bool) and math.isfinite(tau)
+    if not (finite and tau > 0):
+        raise ContractError(f"temperature must be a positive finite number, got {tau!r}")
+    t = float(tau)
+    b = batch.batch_size
+    diag_shift = Tensor(np.where(np.eye(b, dtype=bool), _DIAG_SHIFT, 0.0))
+    eye = Tensor(np.eye(b))
 
-    cc_mass = T.sum(blocks.masked_exp(c, c), axis=1)
+    def row_mass(cos: Tensor) -> Tensor:
+        """sum_{j != i} exp(cos(i, j) / tau) for every row i."""
+        return T.sum(T.exp(T.scale(T.add(cos, diag_shift), 1.0 / t)), axis=1)
+
+    zc = _unit_rows(batch.complete, "complete")
+    cc_mass = row_mass(T.matmul(zc, zc, transpose_b=True))
     total: Tensor | None = None
-    for m in range(m_count):
+    for m, z in enumerate(batch.per_modality):
+        zm = _unit_rows(z, f"modality_{m + 1}")
+        cos_mc = T.matmul(zm, zc, transpose_b=True)
         if ablated:
             omega = cc_mass
         else:
-            omega = T.add(
-                T.add(
-                    T.sum(blocks.masked_exp(m, c), axis=1),
-                    T.sum(blocks.masked_exp(m, m), axis=1),
-                ),
-                cc_mass,
-            )
+            mc_mass = row_mass(cos_mc)
+            mm_mass = row_mass(T.matmul(zm, zm, transpose_b=True))
+            omega = T.add(T.add(mc_mass, mm_mass), cc_mass)
         # sum_i log Omega_m(i) - (1/tau) * sum_i cos(z_m^i, z_c^i)
-        positives = T.dot(blocks.cos(m, c), eye)
+        positives = T.dot(cos_mc, eye)
         part = T.add(T.sum(T.log(omega)), T.scale(positives, -1.0 / t))
         total = part if total is None else T.add(total, part)
     return total

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, DomainError, NumericError, ShapeError, require_integer
+from .errors import ConfigError, DomainError, NumericError, ShapeError, require_integer, require_number
 from .loss import RepresentationBatch, mnt_xent, mnt_xent_ablated
 from .tensor import Tape, Tensor, add, matmul, relu, swish
 
@@ -215,27 +215,25 @@ class GmcModel(ParameterSet):
     def _mlp(self, name: str, spec: EncoderSpec, x: Tensor) -> Tensor:
         return mlp_forward(spec, self._params, name, x)
 
-    def encode_modality(self, m: int, x, return_intermediate: bool = False):
-        """z_m = g(f_m(x_m)) for a batch of modality-m rows; optionally also h_m."""
+    def encode_modality(self, m: int, x) -> Tensor:
+        """z_m = g(f_m(x_m)) for a batch of modality-m rows."""
         if not 0 <= m < self.modality_count:
             raise ConfigError("modality", f"no modality {m}; model has {self.modality_count}")
         t = self._check_input("encode_modality", x, self.base_specs[m].input_dim)
         h = self._mlp(f"enc{m}", self.base_specs[m], t)
-        z = self._mlp("head", self.head_spec, h)
-        return (z, h) if return_intermediate else z
+        return self._mlp("head", self.head_spec, h)
 
-    def encode_complete(self, x, return_intermediate: bool = False):
+    def encode_complete(self, x) -> Tensor:
         """z = g(f(x)) for a batch of concatenated complete observations."""
         t = self._check_input("encode_complete", x, self.base_specs[-1].input_dim)
         h = self._mlp("enc_complete", self.base_specs[-1], t)
-        z = self._mlp("head", self.head_spec, h)
-        return (z, h) if return_intermediate else z
+        return self._mlp("head", self.head_spec, h)
 
-    def encode_pathway(self, pathway, x, return_intermediate: bool = False):
+    def encode_pathway(self, pathway, x) -> Tensor:
         """Dispatch on pathway: an integer modality index or "complete"."""
         if pathway == "complete":
-            return self.encode_complete(x, return_intermediate)
-        return self.encode_modality(int(pathway), x, return_intermediate)
+            return self.encode_complete(x)
+        return self.encode_modality(int(pathway), x)
 
 
 def encode_batch(model: GmcModel, modality_arrays: Sequence, complete_array) -> RepresentationBatch:
@@ -266,8 +264,10 @@ def check_loop_config(config) -> None:
         raise ConfigError("epochs", "must be positive")
     if config.batch_size < 1:
         raise ConfigError("batch_size", "must be positive")
-    if config.learning_rate < 0:
-        raise ConfigError("learning_rate", "must be non-negative")
+    require_number("learning_rate", config.learning_rate)
+    require_number("adam_beta1", config.adam_beta1, below=1.0)
+    require_number("adam_beta2", config.adam_beta2, below=1.0)
+    require_number("adam_eps", config.adam_eps, positive=True)
     if config.optimizer not in ("adam", "sgd"):
         raise ConfigError("optimizer", f"unknown optimizer {config.optimizer!r}")
 
@@ -289,8 +289,7 @@ class TrainConfig:
         check_loop_config(self)
         if self.batch_size < 2:
             raise ConfigError("batch_size", "contrastive batches need at least 2 samples")
-        if not self.tau > 0:
-            raise ConfigError("tau", "must be positive")
+        require_number("tau", self.tau, positive=True)
         if self.loss_variant not in ("full", "ablated"):
             raise ConfigError("loss_variant", f"unknown variant {self.loss_variant!r}")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, require_integer
+from .errors import ConfigError, require_integer, require_number
 
 DEFAULT_MODALITY_DIMS = (20, 16, 12)
 
@@ -51,9 +51,10 @@ class SynthConfig:
             raise ConfigError("style_dim", "must be non-negative")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction", "must lie strictly between 0 and 1")
-        sigmas = self.sigmas()
-        if any(s < 0 for s in sigmas):
-            raise ConfigError("noise_sigma", "must be non-negative")
+        sigmas = self.noise_sigma if isinstance(self.noise_sigma, (tuple, list)) else (self.noise_sigma,)
+        for s in sigmas:
+            require_number("noise_sigma", s)
+        self.sigmas()  # rejects a list whose length differs from modality_dims
         if self.n_samples < 2 or int(self.n_samples * self.train_fraction) < 1:
             raise ConfigError("n_samples", "split leaves an empty train or test set")
         if int(self.n_samples * self.train_fraction) >= self.n_samples:

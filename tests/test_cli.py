@@ -346,6 +346,13 @@ class TestEvalDca:
         origins = [line.split(",")[0] for line in text[1:]]
         assert origins == ["R"] * 40 + ["E"] * 40
 
+    def test_k_below_one_is_a_config_error(self, embeddings, tmp_path, capsys):
+        ref, ev = embeddings
+        code = main(["eval-dca", "--reference", str(ref), "--evaluation", str(ev), "--k", "0", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "--k" in err
+
     def test_width_mismatch_rejected(self, embeddings, tmp_path):
         ref, _ = embeddings
         (tmp_path / "narrow.csv").write_text("z0,z1\n0.0,0.0\n1.0,1.0\n")
@@ -449,6 +456,15 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--dataset", str(workdir / "data"), "--out", str(tmp_path / "par")]) == 0
         assert (tmp_path / "seq" / "aggregate.csv").read_bytes() == (tmp_path / "par" / "aggregate.csv").read_bytes()
 
+    def test_config_error_in_a_worker_exits_two(self, workdir, tmp_path, capsys, monkeypatch):
+        # the activation is checked only when a worker builds its model
+        monkeypatch.setenv("GMC_THREADS", "2")
+        cfg = write_json(tmp_path / "s.json", {**TRAIN, "tau": [0.1, 0.2], "model": {"activation": "tanh"}})
+        code = main(["sweep", "--config", cfg, "--dataset", str(workdir / "data"), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "activation" in err
+
     def test_invalid_thread_cap_is_a_config_error(self, workdir, tmp_path, monkeypatch):
         monkeypatch.setenv("GMC_THREADS", "zero")
         cfg = write_json(tmp_path / "s.json", {"epochs": 1, "tau": [0.1]})
@@ -537,6 +553,28 @@ class TestGoldenTrainingOutputs:
             if f.is_file() and f.name != "manifest.json"
         }
         assert got == GOLDEN_TRAINING_OUTPUTS
+
+
+class TestFloatConfigKeys:
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("gen-data", {"noise_sigma": float("nan")}),
+            ("train", {"adam_beta1": "x"}),
+            ("eval-probe", {"adam_beta1": "x"}),
+            ("sweep", {**TRAIN, "tau": [0.1, float("inf")]}),
+        ],
+    )
+    def test_bad_float_key_is_a_config_error(self, workdir, tmp_path, capsys, monkeypatch, command, config):
+        monkeypatch.setenv("GMC_THREADS", "2")
+        args = [command, "--config", write_json(tmp_path / "c.json", config), "--out", str(tmp_path / "o")]
+        if command != "gen-data":
+            args += ["--dataset", str(workdir / "data")]
+        if command == "eval-probe":
+            args += ["--checkpoint", str(workdir / "run" / "checkpoint.gmc")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Traceback" not in err
 
 
 class TestEntryPoints:

@@ -57,7 +57,6 @@ class TestLabeledPointCloud:
         cloud = LabeledPointCloud.from_sets([[0.0], [1.0]], [[2.0]])
         assert cloud.n_points == 3
         assert cloud.is_reference.tolist() == [True, True, False]
-        assert cloud.origin_labels().tolist() == ["R", "R", "E"]
 
     def test_rejects_nan_and_one_sided(self):
         with pytest.raises(DataError):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,11 @@ class TestProbeConfig:
             ({"seed": 0.5}, "seed"),
             ({"hidden": (1.5,)}, "hidden"),
             ({"hidden": (16, True)}, "hidden"),
+            ({"learning_rate": math.inf}, "learning_rate"),
+            ({"learning_rate": True}, "learning_rate"),
+            ({"adam_beta1": "0.9"}, "adam_beta1"),
+            ({"adam_beta2": 1.0}, "adam_beta2"),
+            ({"adam_eps": -1e-8}, "adam_eps"),
         ],
     )
     def test_rejects_bad_field(self, kwargs, key):

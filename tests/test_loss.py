@@ -32,51 +32,43 @@ def to_lists(batch):
     return zs, zc
 
 
-# --- cosine / similarity ----------------------------------------------------
+# --- cosine ------------------------------------------------------------------
 
 
 def test_cosine_identical_vectors():
-    assert L.cosine_similarity([0.6, 0.8], [0.6, 0.8]) == 1.0
+    # z_1^i == z_c^i up to scale and the two samples are orthogonal, so every
+    # positive cosine is 1 and every negative one 0: l(i) = log 3 - 1/tau.
+    z = np.array([[0.6, 0.8], [-2.4, 1.8]])
+    batch = L.RepresentationBatch([Tensor(z * 3.0)], Tensor(z))
+    assert abs(L.mnt_xent(batch, 0.5).item() - 2.0 * (math.log(3.0) - 2.0)) < 1e-12
 
 
 def test_cosine_orthogonal():
-    assert L.cosine_similarity([1.0, 0.0], [0.0, 1.0]) == 0.0
+    # positives orthogonal (cos 0); only the m-m negative is aligned (cos 1)
+    zc = np.eye(2, 3)
+    zm = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]])
+    batch = L.RepresentationBatch([Tensor(zm)], Tensor(zc))
+    assert abs(L.mnt_xent(batch, 1.0).item() - 2.0 * math.log(2.0 + math.e)) < 1e-12
 
 
 def test_cosine_matches_scalar_loop_oracle():
-    got = L.cosine_similarity([1.0, 2.0], [2.0, 1.0])
-    assert abs(got - 0.8) < 1e-15
-    assert abs(got - cos_loops([1.0, 2.0], [2.0, 1.0])) < 1e-15
-
-
-def test_cosine_rejects_degenerate_vectors():
-    with pytest.raises(DegenerateVectorError):
-        L.cosine_similarity([0.0, 0.0], [1.0, 0.0])
-    with pytest.raises(DegenerateVectorError):
-        L.cosine_similarity([1.0, 0.0], [1e-13, 0.0])
-
-
-def test_cosine_shape_mismatch():
-    with pytest.raises(ShapeError):
-        L.cosine_similarity([1.0, 0.0], [1.0, 0.0, 0.0])
-
-
-def test_similarity_values():
-    u = [0.6, 0.8]
-    assert abs(L.similarity(u, u, 1.0) - math.e) < 1e-12
-    assert L.similarity([1.0, 0.0], [0.0, 1.0], 0.37) == 1.0
-    assert abs(L.similarity(u, u, 0.1) - math.exp(10.0)) < 1e-7
-    assert L.similarity(u, u, 1e-4) == math.inf  # overflow degrades, not crashes
+    # the positive cosine of ([1, 2], [2, 1]) is 0.8; the ablated loss reads it
+    # off as log Omega*(i) - cos / tau with Omega* from the c-c block alone
+    zm = [[1.0, 2.0], [3.0, -1.0]]
+    zc = [[2.0, 1.0], [-1.0, 0.5]]
+    batch = L.RepresentationBatch([Tensor(zm)], Tensor(zc))
+    got = L.mnt_xent_ablated(batch, 1.0).item()
+    log_omega = 2.0 * cos_loops(zc[0], zc[1])
+    assert abs(cos_loops(zm[0], zc[0]) - 0.8) < 1e-15
+    assert abs(got - (log_omega - 0.8 - cos_loops(zm[1], zc[1]))) < 1e-12
 
 
 def test_temperature_validation():
-    with pytest.raises(ContractError):
-        L.Temperature(0.0)
-    with pytest.raises(ContractError):
-        L.Temperature(-1.0)
-    with pytest.raises(ContractError):
-        L.Temperature(math.nan)
-    assert L.Temperature().tau == 0.1
+    batch = orthogonal_batch(2)
+    for tau in (0.0, -1.0, math.nan, math.inf, True):
+        with pytest.raises(ContractError, match="temperature"):
+            L.mnt_xent(batch, tau)
+    assert L.mnt_xent(batch, np.float64(1.0)).item() == L.mnt_xent(batch, 1).item()
 
 
 # --- batch construction -----------------------------------------------------
@@ -98,15 +90,18 @@ def test_batch_rejects_small_or_ragged():
 
 
 def test_negative_mass_orthogonal_is_three():
+    # positives cancel in full - ablated, leaving sum_i log(Omega(i) / Omega*(i))
     batch = orthogonal_batch(2)
-    assert abs(L.negative_mass(batch, 0, 0, 1.0) - 3.0) < 1e-12
-    assert abs(L.negative_mass(batch, 0, 1, 1.0) - 3.0) < 1e-12
+    diff = L.mnt_xent(batch, 1.0).item() - L.mnt_xent_ablated(batch, 1.0).item()
+    assert abs(diff - 2.0 * math.log(3.0)) < 1e-12
 
 
 @pytest.mark.parametrize("b", [2, 3, 5, 8])
 def test_negative_mass_orthogonal_fillers_scale(b):
+    # Omega(i) = 3 (B - 1) exp(0), positive cosine 1
     batch = orthogonal_batch(b)
-    assert abs(L.negative_mass(batch, 0, 0, 1.0) - 3.0 * (b - 1)) < 1e-10
+    expect = b * (math.log(3.0 * (b - 1)) - 1.0)
+    assert abs(L.mnt_xent(batch, 1.0).item() - expect) < 1e-10
 
 
 def test_negative_mass_hand_specified_brute_force():
@@ -115,29 +110,24 @@ def test_negative_mass_hand_specified_brute_force():
     zc = [[0.5, 2.0], [-1.0, 0.25]]
     tau = 0.7
     batch = L.RepresentationBatch([Tensor(zm)], Tensor(zc))
-    expect = (
-        math.exp(cos_loops(zm[0], zc[1]) / tau)
-        + math.exp(cos_loops(zm[0], zm[1]) / tau)
-        + math.exp(cos_loops(zc[0], zc[1]) / tau)
-    )
-    assert abs(L.negative_mass(batch, 0, 0, tau) - expect) < 1e-12
-
-
-def test_negative_mass_index_contract():
-    batch = orthogonal_batch(2)
-    with pytest.raises(ContractError):
-        L.negative_mass(batch, 1, 0, 1.0)
-    with pytest.raises(ContractError):
-        L.negative_mass(batch, 0, 2, 1.0)
+    expect = 0.0
+    for i, j in ((0, 1), (1, 0)):
+        omega = (
+            math.exp(cos_loops(zm[i], zc[j]) / tau)
+            + math.exp(cos_loops(zm[i], zm[j]) / tau)
+            + math.exp(cos_loops(zc[i], zc[j]) / tau)
+        )
+        expect += math.log(omega) - cos_loops(zm[i], zc[i]) / tau
+    assert abs(L.mnt_xent(batch, tau).item() - expect) < 1e-12
 
 
 # --- pair loss --------------------------------------------------------------
 
 
 def test_pair_loss_orthogonal_closed_form():
+    # both pairs of the B=2 orthogonal batch carry l(i) = log 3 - 1/tau
     batch = orthogonal_batch(2)
-    assert abs(L.pair_loss(batch, 0, 0, 1.0) - (math.log(3.0) - 1.0)) < 1e-12
-    assert abs(L.pair_loss(batch, 0, 0, 0.1) - (math.log(3.0) - 10.0)) < 1e-10
+    assert abs(L.mnt_xent(batch, 0.1).item() - 2.0 * (math.log(3.0) - 10.0)) < 1e-10
 
 
 def test_pair_loss_matches_oracle_on_random_batches():
@@ -147,17 +137,7 @@ def test_pair_loss_matches_oracle_on_random_batches():
         tau = float(rng.uniform(0.05, 1.0))
         batch = make_batch(rng, b, m_count, s)
         zs, zc = to_lists(batch)
-        m = int(rng.integers(m_count))
-        i = int(rng.integers(b))
-        omega = 0.0
-        for j in range(b):
-            if j == i:
-                continue
-            omega += math.exp(cos_loops(zs[m][i], zc[j]) / tau)
-            omega += math.exp(cos_loops(zs[m][i], zs[m][j]) / tau)
-            omega += math.exp(cos_loops(zc[i], zc[j]) / tau)
-        expect = -math.log(math.exp(cos_loops(zs[m][i], zc[i]) / tau) / omega)
-        assert abs(L.pair_loss(batch, m, i, tau) - expect) < 1e-10
+        assert abs(L.mnt_xent(batch, tau).item() - mnt_xent_loops(zs, zc, tau)) < 1e-10
 
 
 # --- total loss -------------------------------------------------------------
@@ -165,7 +145,7 @@ def test_pair_loss_matches_oracle_on_random_batches():
 
 def test_mnt_xent_orthogonal_closed_form():
     batch = orthogonal_batch(2)
-    got = L.mnt_xent(batch, L.Temperature(1.0)).item()
+    got = L.mnt_xent(batch, 1.0).item()
     assert abs(got - 2.0 * (math.log(3.0) - 1.0)) < 1e-12
 
 
@@ -177,10 +157,7 @@ def test_mnt_xent_matches_oracle_and_term_count():
     for tau in (0.2, 1e9):
         got = L.mnt_xent(batch, tau).item()
         assert abs(got - mnt_xent_loops(zs, zc, tau)) < 1e-10
-        terms = L.loss_term_values(batch, tau)
-        assert terms.shape == (3, 4)
-        assert L.positive_term_count(batch) == 12
-        assert abs(terms.sum() - got) < 1e-10
+    assert L.positive_term_count(batch) == 12
 
 
 def test_mnt_xent_permutation_invariant():
@@ -193,10 +170,6 @@ def test_mnt_xent_permutation_invariant():
     a = L.mnt_xent(batch, 0.3).item()
     b = L.mnt_xent(permuted, 0.3).item()
     assert abs(a - b) < 1e-9
-    # per-term values are carried along by the permutation
-    base_terms = L.loss_term_values(batch, 0.3)
-    perm_terms = L.loss_term_values(permuted, 0.3)
-    assert np.allclose(base_terms[:, perm], perm_terms, atol=1e-11)
 
 
 def test_mnt_xent_ablated_closed_form_is_negative():
@@ -208,15 +181,19 @@ def test_mnt_xent_ablated_closed_form_is_negative():
 def test_ablated_negative_mass_independent_of_modality():
     rng = np.random.default_rng(9)
     batch = make_batch(rng, 4, 3, 5)
-    terms = L.loss_term_values(batch, 0.5, variant="ablated")
-    # l*_m(i) + log(pos_m(i)) = log Omega*(i) must agree across m
-    for i in range(4):
-        logs = []
-        for m in range(3):
-            pos = L.similarity(batch.per_modality[m].data[i], batch.complete.data[i], 0.5)
-            logs.append(terms[m, i] + math.log(pos))
-        assert max(logs) - min(logs) < 1e-10
-        assert abs(math.exp(logs[0]) - L.ablated_negative_mass(batch, i, 0.5)) < 1e-8
+    zs, zc = to_lists(batch)
+    tau = 0.5
+    # sum_i log Omega*(i), from the c-c block alone
+    log_omega = sum(
+        math.log(sum(math.exp(cos_loops(zc[i], zc[j]) / tau) for j in range(4) if j != i))
+        for i in range(4)
+    )
+    # each single-modality ablated loss plus its positives gives the same mass
+    for m in range(3):
+        single = L.RepresentationBatch([batch.per_modality[m]], batch.complete)
+        positives = sum(cos_loops(zs[m][i], zc[i]) for i in range(4))
+        got = L.mnt_xent_ablated(single, tau).item() + positives / tau
+        assert abs(got - log_omega) < 1e-10
 
 
 def test_mnt_xent_ablated_matches_oracle():
@@ -288,7 +265,7 @@ def test_scaling_one_vector_leaves_loss_unchanged(lam, row, pathway):
 
 
 def test_minimization_pressure_toward_positive():
-    # Fixed orthogonal negatives; slide z_1^0 toward z_c^0 and watch l fall.
+    # Fixed orthogonal negatives; slide z_1^0 toward z_c^0 and watch the loss fall.
     b, s = 3, 4
     basis = np.eye(b, s)
     target = basis[0]
@@ -298,7 +275,7 @@ def test_minimization_pressure_toward_positive():
         zm = basis.copy()
         zm[0] = (1 - t) * start + t * target
         batch = L.RepresentationBatch([Tensor(zm)], Tensor(basis))
-        losses.append(L.pair_loss(batch, 0, 0, 0.5))
+        losses.append(L.mnt_xent(batch, 0.5).item())
     assert all(a > b for a, b in zip(losses, losses[1:]))
 
 
@@ -310,12 +287,7 @@ def test_degenerate_row_raises_in_both_paths():
         L.mnt_xent(batch, 0.1)
     assert info.value.where == "modality_1"
     assert info.value.index == 1
-    with pytest.raises(DegenerateVectorError):
-        L.negative_mass(batch, 0, 0, 0.1)
-
-
-def test_loss_term_values_variant_contract():
-    rng = np.random.default_rng(1)
-    batch = make_batch(rng, 3, 1, 3)
-    with pytest.raises(ContractError):
-        L.loss_term_values(batch, 0.1, variant="weird")
+    with pytest.raises(DegenerateVectorError) as info:
+        L.mnt_xent_ablated(L.RepresentationBatch([Tensor(np.ones((3, 4)))], Tensor(z)), 0.1)
+    assert info.value.where == "complete"
+    assert info.value.index == 1

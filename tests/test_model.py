@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -96,8 +97,8 @@ class TestEncode:
     def test_shapes_and_intermediate(self):
         model = tiny_model()
         x = np.ones((5, 6))
-        z, h = model.encode_modality(0, x, return_intermediate=True)
-        assert z.shape == (5, 4) and h.shape == (5, 4)
+        z = model.encode_modality(0, x)
+        assert z.shape == (5, 4)
         zc = model.encode_complete(np.ones((5, 11)))
         assert zc.shape == (5, 4)
 
@@ -233,6 +234,13 @@ class TestTrainConfig:
             ({"batch_size": 64.5}, "batch_size"),
             ({"seed": 1.0}, "seed"),
             ({"seed": False}, "seed"),
+            ({"adam_beta1": "x"}, "adam_beta1"),
+            ({"learning_rate": math.nan}, "learning_rate"),
+            ({"tau": math.inf}, "tau"),
+            ({"tau": True}, "tau"),
+            ({"adam_beta1": 1.0}, "adam_beta1"),
+            ({"adam_beta2": -0.1}, "adam_beta2"),
+            ({"adam_eps": 0.0}, "adam_eps"),
         ],
     )
     def test_rejects_bad_field(self, kwargs, key):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,11 @@ class TestConfigValidation:
             ({"style_dim": True}, "style_dim"),
             ({"seed": 1.5}, "seed"),
             ({"modality_dims": (20, 16.5)}, "modality_dims"),
+            ({"noise_sigma": math.nan}, "noise_sigma"),
+            ({"noise_sigma": True}, "noise_sigma"),
+            ({"noise_sigma": "0.1"}, "noise_sigma"),
+            ({"noise_sigma": (0.1, math.inf, 0.1)}, "noise_sigma"),
+            ({"noise_sigma": (0.1, "0.2", 0.1)}, "noise_sigma"),
         ],
     )
     def test_rejects_bad_field(self, kwargs, key):
