@@ -39,6 +39,12 @@ class LabeledPointCloud:
             raise ShapeError("labeled_point_cloud", points.shape, mask.shape)
         if not np.isfinite(points).all():
             raise DataError("point cloud contains non-finite coordinates")
+        # squared distances reach 4 max|x|^2; the factor 8 leaves room for the
+        # rounding bound build_graph relies on
+        with np.errstate(over="ignore"):
+            sq_max = 8.0 * np.einsum("ij,ij->i", points, points).max(initial=0.0)
+        if not np.isfinite(sq_max):
+            raise DataError("point cloud coordinates too large: squared distances overflow float64")
         if not mask.any() or mask.all():
             raise DataError("need at least one reference and one evaluation point")
         object.__setattr__(self, "points", points)
@@ -121,6 +127,11 @@ class NeighborhoodGraph:
         return len(self.edges)
 
 
+# Rows per Gram block: each block array is 64 * n floats (2 MB at n = 4000),
+# so memory stays flat as the cloud grows.
+_BLOCK_ROWS = 64
+
+
 def build_graph(cloud: LabeledPointCloud, k: int = 5) -> NeighborhoodGraph:
     """Symmetric k-NN graph: (u,v) is an edge iff either is in the other's
     k nearest. Neighbor ranking is by (distance, lower index), which makes
@@ -130,16 +141,65 @@ def build_graph(cloud: LabeledPointCloud, k: int = 5) -> NeighborhoodGraph:
     if not 1 <= k < n:
         raise ContractError(f"k must satisfy 1 <= k < n={n}, got {k}")
     pts = cloud.points
-    edges = set()
-    for i in range(n):
-        diff = pts - pts[i]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        d2[i] = np.inf
-        # lexsort's last key is primary: sort by distance, then index
-        order = np.lexsort((np.arange(n), d2))
-        for j in order[:k]:
-            edges.add((min(i, int(j)), max(i, int(j))))
-    return NeighborhoodGraph(n, tuple(sorted(edges)))
+    dim = pts.shape[1]
+    sq = np.einsum("ij,ij->i", pts, pts)
+    # The Gram value g = fl(s_x + s_y) - 2 fl(x.y), s = fl(|x|^2), only filters
+    # candidates; they are ranked by D = sum(fl(y - x)^2), computed per kept
+    # candidate, so ties and near-ties fall as in a full distance row.
+    # Rounding bound (Higham, "Accuracy and Stability of Numerical
+    # Algorithms", ch. 3, with u = 2^-53 and gamma_m = m u / (1 - m u)),
+    # for d2 = |x - y|^2:
+    # - |s_x - |x|^2| <= gamma_dim |x|^2 and |fl(x.y) - x.y| <= gamma_dim |x||y|
+    #   in any summation order, FMA or not; the sum and the difference in g
+    #   add two roundings, so |g - d2| <= gamma_{dim+2} (|x| + |y|)^2.
+    # - D rounds once in each difference, once in each square and dim - 1
+    #   times in a sum of non-negative terms: |D - d2| <= gamma_{dim+2} d2,
+    #   and d2 <= (|x| + |y|)^2.
+    # So |g - D| <= 2 gamma_{dim+2} (|x| + |y|)^2 <= 4 gamma_{dim+2} (|x|^2 + |y|^2).
+    # Forming g +- b rounds once more, by at most 2u (|x|^2 + |y|^2), and
+    # fl(s_x + s_y) may fall short of |x|^2 + |y|^2 by a relative gamma_{dim+1};
+    # b = 8 gamma_{dim+3} fl(s_x + s_y) covers all of it twice over. Under
+    # gradual underflow sums and differences keep that relative bound, but
+    # each product may also err by eta/2, half the smallest subnormal: g and
+    # D carry 5 dim such errors (the Gram product counts twice), 2.5 dim eta
+    # in all, and the absolute term (4 dim + 8) eta also covers the rounding
+    # of b itself. Nothing overflows: LabeledPointCloud rejects clouds whose
+    # 8 max|x|^2 is not finite.
+    # With every |g - D| <= b, a point j whose g_j - b_j exceeds the k-th
+    # smallest g + b has k other points strictly nearer by D, so it is never
+    # among the k nearest, not even on a tie.
+    u = 2.0**-53
+    rel = 8.0 * (dim + 3) * u / (1.0 - (dim + 3) * u)
+    eta = 2.0**-1074
+    nearest = np.empty((n, k), dtype=np.int64)
+    for r0 in range(0, n, _BLOCK_ROWS):
+        r1 = min(r0 + _BLOCK_ROWS, n)
+        rows = np.arange(r0, r1)
+        # in place, so a block holds three 64 x n float arrays at a time;
+        # s - 2 x.y and s + (-2 x.y) round alike
+        b = sq[r0:r1, None] + sq[None, :]
+        g = pts[r0:r1] @ pts.T
+        g *= -2.0
+        g += b
+        # +inf keeps each point out of its own neighbour list: the k-th
+        # smallest g + b below is finite because k < n
+        g[rows - r0, rows] = np.inf
+        b *= rel
+        b += (4 * dim + 8) * eta
+        lower = g - b
+        g += b  # g now holds the upper bound g + b
+        g.partition(k - 1, axis=1)
+        keep = lower <= g[:, k - 1, None]
+        for i, row_keep in zip(rows, keep):
+            cand = np.flatnonzero(row_keep)
+            diff = pts[cand] - pts[i]
+            d2 = np.einsum("ij,ij->i", diff, diff)
+            # lexsort's last key is primary: sort by distance, then index
+            nearest[i] = cand[np.lexsort((cand, d2))[:k]]
+    src = np.repeat(np.arange(n, dtype=np.int64), k)
+    dst = nearest.ravel()
+    keys = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst))
+    return NeighborhoodGraph(n, tuple(zip((keys // n).tolist(), (keys % n).tolist())))
 
 
 def graph_from_edges(n_vertices: int, edges) -> NeighborhoodGraph:

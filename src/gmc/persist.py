@@ -133,6 +133,14 @@ def write_csv(path, header: list[str], rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _raise_if_ragged(path, header: list[str], rows: list[str]) -> None:
+    """Name the first data row whose cell count differs from the header's."""
+    for r, line in enumerate(rows, 1):
+        cells = line.count(",") + 1
+        if cells != len(header):
+            raise DataError(f"ragged CSV {path}: data row {r} has {cells} cells vs {len(header)} header fields")
+
+
 def read_matrix_csv(path) -> tuple[list[str], np.ndarray]:
     """Read a numeric CSV written by write_csv: header plus float rows."""
     text = Path(path).read_text(encoding="utf-8").strip("\n")
@@ -145,9 +153,11 @@ def read_matrix_csv(path) -> tuple[list[str], np.ndarray]:
             [[float(cell) for cell in line.split(",")] for line in lines[1:]], dtype=np.float64
         )
     except ValueError as err:
+        # numpy also raises ValueError on rows of unequal length
+        _raise_if_ragged(path, header, lines[1:])
         raise DataError(f"non-numeric cell in {path}: {err}") from err
     if lines[1:] and data.shape[1] != len(header):
-        raise DataError(f"ragged CSV {path}: {data.shape[1]} columns vs {len(header)} header fields")
+        _raise_if_ragged(path, header, lines[1:])
     if not np.all(np.isfinite(data)):
         row, col = np.argwhere(~np.isfinite(data))[0]
         raise DataError(f"non-finite cell in {path}: data row {row + 1}, column {header[col]}")

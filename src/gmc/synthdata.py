@@ -49,8 +49,9 @@ class SynthConfig:
             raise ConfigError("modality_dims", "dimensions must be positive")
         if self.style_dim < 0:
             raise ConfigError("style_dim", "must be non-negative")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError("train_fraction", "must lie strictly between 0 and 1")
+        require_number("train_fraction", self.train_fraction, positive=True, below=1.0)
+        if not isinstance(self.label_modality, bool):
+            raise ConfigError("label_modality", f"must be true or false, got {self.label_modality!r}")
         sigmas = self.noise_sigma if isinstance(self.noise_sigma, (tuple, list)) else (self.noise_sigma,)
         for s in sigmas:
             require_number("noise_sigma", s)

@@ -3,11 +3,15 @@
 Everything here is written with explicit loops over Python floats,
 independent of the package's tensor engine and numpy formulations, so the
 production code and these oracles can only agree by computing the same
-mathematics.
+mathematics. The one exception is `knn_edges_loops`: k-NN edges must agree
+bit for bit on ties and near-ties, so it keeps the straightforward per-point
+numpy distance loop whose arithmetic the production graph reproduces.
 """
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 def cos_loops(u, v):
@@ -55,6 +59,24 @@ def mnt_xent_ablated_loops(zs, zc, tau):
 
 
 # --- graph alignment oracle -------------------------------------------------
+
+
+def knn_edges_loops(points, k):
+    """Sorted edges of the symmetric k-NN graph, one full distance row per
+    point: each point joins its k nearest others by (squared distance,
+    index)."""
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    edges = set()
+    for i in range(n):
+        diff = pts - pts[i]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        d2[i] = np.inf
+        # lexsort's last key is primary: sort by distance, then index
+        order = np.lexsort((np.arange(n), d2))
+        for j in order[:k]:
+            edges.add((min(i, int(j)), max(i, int(j))))
+    return tuple(sorted(edges))
 
 
 def components_bfs(n, edges):

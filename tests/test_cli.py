@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gmc
 from gmc.cli import main, pca_2d
 from gmc.persist import load_checkpoint, read_matrix_csv, sha256_file
 
@@ -353,6 +354,15 @@ class TestEvalDca:
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "--k" in err
 
+    def test_overflowing_distances_are_a_data_error(self, tmp_path, capsys):
+        rows = "\n".join(",".join(f"{(i + 1) * (j - 1.5):.1f}e200" for j in range(4)) for i in range(10))
+        for name in ("r.csv", "e.csv"):
+            (tmp_path / name).write_text("z0,z1,z2,z3\n" + rows + "\n")
+        code = main(["eval-dca", "--reference", str(tmp_path / "r.csv"), "--evaluation", str(tmp_path / "e.csv"), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "overflow" in err
+
     def test_width_mismatch_rejected(self, embeddings, tmp_path):
         ref, _ = embeddings
         (tmp_path / "narrow.csv").write_text("z0,z1\n0.0,0.0\n1.0,1.0\n")
@@ -586,11 +596,15 @@ class TestEntryPoints:
         assert main(["--version"]) == 0
 
     def test_console_script_runs(self):
+        # pytest's `pythonpath` setting reaches only this process, so the
+        # child gets gmc's source root on its own PYTHONPATH
+        source_root = str(Path(gmc.__file__).resolve().parent.parent)
+        python_path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "gmc.cli", "--version"],
             capture_output=True,
             text=True,
-            env={**os.environ},
+            env={**os.environ, "PYTHONPATH": python_path},
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("gmc ")

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gmc.dca import (
     ComponentScore,
@@ -21,7 +23,7 @@ from gmc.dca import (
 )
 from gmc.errors import ContractError, DataError, ShapeError
 
-from _oracles import dca_scores_fractions
+from _oracles import dca_scores_fractions, knn_edges_loops
 
 
 def random_labeled_graph(gen, n_max=10):
@@ -33,6 +35,23 @@ def random_labeled_graph(gen, n_max=10):
         is_ref = gen.random(n) < 0.5
         if 0 < is_ref.sum() < n:
             return n, edges, is_ref
+
+
+def knn_cloud(kind, n, dim, scale_exponent, seed):
+    """n points in `dim` dimensions: Gaussian, exact duplicates of a few
+    points, lattice points (exact distance ties) or lattice points moved by
+    a few ulps (near-ties), all scaled by 10**scale_exponent."""
+    gen = np.random.default_rng(seed)
+    if kind == "duplicates":
+        base = gen.normal(size=(max(1, n // 8), dim))
+        pts = base[gen.integers(0, base.shape[0], n)]
+    elif kind == "gaussian":
+        pts = gen.normal(size=(n, dim))
+    else:
+        pts = np.round(gen.normal(size=(n, dim)) * 2.0) / 2.0
+        if kind == "near_ties":
+            pts += gen.integers(-4, 5, size=(n, dim)) * 2.0**-50
+    return pts * 10.0**scale_exponent
 
 
 def assert_matches_oracle(n, edges, is_ref):
@@ -130,6 +149,25 @@ class TestBuildGraph:
         cloud = LabeledPointCloud.from_sets([[1.0, 2.0]], [[1.0, 2.0]])
         g = build_graph(cloud, k=1)
         assert g.edges == ((0, 1),)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["gaussian", "duplicates", "lattice", "near_ties"]),
+        n=st.one_of(st.integers(2, 70), st.sampled_from([64, 65, 128, 130, 200])),
+        dim=st.integers(1, 9),
+        k_choice=st.sampled_from(["1", "2", "n-2", "n-1", "mid"]),
+        scale_exponent=st.integers(-150, 150),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kind="duplicates", n=130, dim=3, k_choice="2", scale_exponent=-150, seed=0)
+    @example(kind="near_ties", n=130, dim=5, k_choice="n-2", scale_exponent=150, seed=1)
+    @example(kind="lattice", n=65, dim=2, k_choice="n-1", scale_exponent=0, seed=2)
+    def test_edges_match_per_point_loop(self, kind, n, dim, k_choice, scale_exponent, seed):
+        k = {"1": 1, "2": 2, "n-2": n - 2, "n-1": n - 1, "mid": n // 2}[k_choice]
+        k = min(max(k, 1), n - 1)
+        pts = knn_cloud(kind, n, dim, scale_exponent, seed)
+        cloud = LabeledPointCloud(pts, np.arange(n) % 2 == 0)
+        assert build_graph(cloud, k).edges == knn_edges_loops(pts, k)
 
     def test_no_self_loops_or_duplicates_by_construction(self):
         gen = np.random.default_rng(3)

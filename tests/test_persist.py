@@ -144,6 +144,12 @@ class TestCsv:
         with pytest.raises(DataError, match="non-numeric"):
             read_matrix_csv(tmp_path / "x.csv")
 
+    @pytest.mark.parametrize("body", ["1.0,2.0\n3.0\n", "1.0,2.0\n3.0,4.0,5.0\n", "1.0\n3.0\n"])
+    def test_ragged_row_named(self, tmp_path, body):
+        (tmp_path / "r.csv").write_text("a,b\n" + body)
+        with pytest.raises(DataError, match="ragged CSV .*: data row [12] has"):
+            read_matrix_csv(tmp_path / "r.csv")
+
     def test_header_only_gives_zero_rows(self, tmp_path):
         write_csv(tmp_path / "h.csv", ["a", "b"], [])
         header, mat = read_matrix_csv(tmp_path / "h.csv")

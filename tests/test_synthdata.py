@@ -49,6 +49,9 @@ class TestConfigValidation:
             ({"noise_sigma": "0.1"}, "noise_sigma"),
             ({"noise_sigma": (0.1, math.inf, 0.1)}, "noise_sigma"),
             ({"noise_sigma": (0.1, "0.2", 0.1)}, "noise_sigma"),
+            ({"train_fraction": "x"}, "train_fraction"),
+            ({"label_modality": "no"}, "label_modality"),
+            ({"label_modality": 1}, "label_modality"),
         ],
     )
     def test_rejects_bad_field(self, kwargs, key):
