@@ -17,7 +17,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 from pathlib import Path
 
@@ -485,6 +484,8 @@ def cmd_sweep(args) -> None:
         jobs.append((args.dataset, str(run_dir), raw_config))
     workers = _worker_count(len(jobs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a sweep pays its import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_job, jobs))
     else:

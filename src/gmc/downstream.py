@@ -23,8 +23,7 @@ from .model import (
     init_mlp_params,
     mlp_forward,
 )
-from .tensor import Tensor, add, dot, exp, log, matmul, scale
-from .tensor import sum as tsum
+from .tensor import Tensor, softmax_cross_entropy
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ class ProbeClassifier(ParameterSet):
             ("relu",) * len(tuple(hidden)),
         )
         self.seed = int(seed)
-        self._params = init_mlp_params(self.spec, self.seed, rng.PROBE_INIT, 0, "probe")
+        self._init_parameters(init_mlp_params(self.spec, self.seed, rng.PROBE_INIT, 0, "probe"))
         self.training_losses: list[float] = []
 
     @property
@@ -87,27 +86,15 @@ class ProbeClassifier(ParameterSet):
 
 
 def cross_entropy(logits: Tensor, y: np.ndarray) -> Tensor:
-    """Mean cross-entropy from raw logits, assembled on the tape.
-
-    Log-sum-exp is computed with a constant per-sample max shift: the shift
-    changes no value and, being constant, leaves the gradient exact. The
-    picked-out true-class logits enter through a Frobenius product with the
-    one-hot matrix.
-    """
+    """Mean cross-entropy from raw (B, C) logits and integer labels, as one
+    tape node (`tensor.softmax_cross_entropy`)."""
     b, c = logits.shape
     y = np.asarray(y, dtype=np.int64)
     if y.shape != (b,):
         raise ShapeError("cross_entropy", logits.shape, y.shape)
     if y.min() < 0 or y.max() >= c:
         raise ConfigError("labels", "class index out of range")
-    shifts = logits.data.max(axis=1)
-    # (C,B) layout lets the per-sample shift ride add's bias broadcast
-    transposed = matmul(Tensor(np.eye(c)), logits, transpose_b=True)
-    shifted = add(transposed, Tensor(-shifts))
-    log_norms = log(tsum(exp(shifted), axis=0))
-    lse_total = add(tsum(log_norms), Tensor(shifts.sum()))
-    picked = dot(logits, Tensor(np.eye(c)[y]))
-    return scale(add(lse_total, scale(picked, -1.0)), 1.0 / b)
+    return softmax_cross_entropy(logits, np.eye(c)[y])
 
 
 def train_probe(

@@ -22,9 +22,7 @@ import numpy as np
 from . import rng
 from .errors import ConfigError, DomainError, NumericError, ShapeError, require_integer, require_number
 from .loss import RepresentationBatch, mnt_xent, mnt_xent_ablated
-from .tensor import Tape, Tensor, add, matmul, relu, swish
-
-_ACTIVATIONS = {"relu": relu, "swish": swish}
+from .tensor import ACTIVATIONS, Tape, Tensor, dense
 
 
 @dataclass(frozen=True)
@@ -53,7 +51,7 @@ class EncoderSpec:
         if len(acts) != len(widths) - 2:
             raise ConfigError("activations", "need one activation per hidden layer")
         for a in acts:
-            if a not in _ACTIVATIONS:
+            if a not in ACTIVATIONS:
                 raise ConfigError("activations", f"unknown activation {a!r}")
 
     @property
@@ -74,8 +72,8 @@ class EncoderSpec:
 
 def init_mlp_params(
     spec: EncoderSpec, seed: int, purpose: int, index: int, prefix: str
-) -> dict[str, Tensor]:
-    """Fresh gradient-tracked parameters for one MLP.
+) -> dict[str, np.ndarray]:
+    """Fresh parameter values for one MLP, in declaration order.
 
     Weights are N(0, 1/fan_in), biases zero; layer l draws from the stream
     keyed (seed, purpose, index, l) so inits never depend on creation order.
@@ -84,42 +82,81 @@ def init_mlp_params(
     for layer in range(spec.layer_count):
         fan_in, fan_out = spec.widths[layer], spec.widths[layer + 1]
         gen = rng.stream(seed, purpose, index, layer)
-        w = gen.standard_normal((fan_in, fan_out)) / math.sqrt(fan_in)
-        params[f"{prefix}/w{layer}"] = Tensor(w, requires_grad=True)
-        params[f"{prefix}/b{layer}"] = Tensor(np.zeros(fan_out), requires_grad=True)
+        params[f"{prefix}/w{layer}"] = gen.standard_normal((fan_in, fan_out)) / math.sqrt(fan_in)
+        params[f"{prefix}/b{layer}"] = np.zeros(fan_out)
     return params
 
 
 def mlp_forward(spec: EncoderSpec, params: Mapping[str, Tensor], prefix: str, x: Tensor) -> Tensor:
+    """One `dense` node per layer; the last layer is linear."""
     h = x
+    last = spec.layer_count - 1
     for layer in range(spec.layer_count):
-        h = add(matmul(h, params[f"{prefix}/w{layer}"]), params[f"{prefix}/b{layer}"])
-        if layer < spec.layer_count - 1:
-            h = _ACTIVATIONS[spec.activations[layer]](h)
+        activation = spec.activations[layer] if layer < last else None
+        h = dense(h, params[f"{prefix}/w{layer}"], params[f"{prefix}/b{layer}"], activation)
     return h
 
 
 class ParameterSet:
     """Named gradient-tracked parameters: the unit `fit` trains.
 
-    Subclasses fill `_params` in their constructor; holding, counting,
-    swapping and input-shape checks live here.
+    The parameters are read-only views of one contiguous float64 buffer,
+    laid out in declaration order; a checkpoint payload is that buffer's
+    bytes. Subclasses call `_init_parameters` in their constructor; holding,
+    counting, swapping and input-shape checks live here.
     """
 
     _params: dict[str, Tensor]
+
+    def _init_parameters(self, values: Mapping[str, np.ndarray]) -> None:
+        self._layout = []  # (name, start, stop, shape) per parameter
+        start = 0
+        for name, value in values.items():
+            stop = start + np.size(value)
+            self._layout.append((name, start, stop, np.shape(value)))
+            start = stop
+        self._bind(np.concatenate([np.ravel(v) for v in values.values()], dtype=np.float64))
+
+    def _bind(self, flat: np.ndarray) -> None:
+        # Every parameter becomes a fresh gradient-tracked leaf, so stale
+        # gradients never leak across optimizer steps.
+        flat.setflags(write=False)
+        self._flat = flat
+        self._params = {
+            name: Tensor._from_owned(flat[start:stop].reshape(shape), requires_grad=True)
+            for name, start, stop, shape in self._layout
+        }
 
     def parameters(self) -> dict[str, Tensor]:
         return dict(self._params)
 
     def parameter_count(self) -> int:
-        return sum(t.data.size for t in self._params.values())
+        return self._flat.size
 
-    def replace_parameters(self, values: Mapping[str, object]) -> None:
-        """Swap in new parameter values (any subset of names).
+    def flat_parameters(self) -> np.ndarray:
+        """Every parameter value in one read-only buffer, in declaration order."""
+        return self._flat
 
-        Each replacement becomes a fresh gradient-tracked leaf, so stale
-        gradients never leak across optimizer steps.
+    def gradients(self, out: np.ndarray) -> np.ndarray:
+        """Fill `out` with every parameter's gradient laid out like
+        `flat_parameters()`; a parameter with no gradient contributes zeros."""
+        for name, start, stop, _ in self._layout:
+            grad = self._params[name].grad
+            out[start:stop] = 0.0 if grad is None else grad.reshape(-1)
+        return out
+
+    def replace_parameters(self, values) -> None:
+        """Swap in new parameter values.
+
+        `values` is either a whole new buffer, a 1-D float64 array laid out
+        like `flat_parameters()` that the set takes over and makes read-only,
+        or a mapping from any subset of names to arrays or tensors, copied.
         """
+        if isinstance(values, np.ndarray):
+            if values.dtype != np.float64 or values.shape != self._flat.shape:
+                raise ShapeError("replace_parameters", self._flat.shape, values.shape)
+            self._bind(values)
+            return
         staged = {}
         for name, value in values.items():
             if name not in self._params:
@@ -127,8 +164,12 @@ class ParameterSet:
             arr = value.data if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
             if arr.shape != self._params[name].shape:
                 raise ShapeError(f"replace_parameters[{name}]", self._params[name].shape, arr.shape)
-            staged[name] = Tensor(arr, requires_grad=True)
-        self._params.update(staged)
+            staged[name] = arr
+        flat = self._flat.copy()
+        for name, start, stop, _ in self._layout:
+            if name in staged:
+                flat[start:stop] = staged[name].reshape(-1)
+        self._bind(flat)
 
     def _check_input(self, op: str, x, expected: int) -> Tensor:
         t = x if isinstance(x, Tensor) else Tensor(x)
@@ -166,9 +207,10 @@ class GmcModel(ParameterSet):
         self.base_specs = base_specs
         self.head_spec = head_spec
         self.seed = int(seed)
-        self._params: dict[str, Tensor] = {}
+        values = {}
         for enc_index, (name, spec) in enumerate(self._named_specs()):
-            self._params.update(init_mlp_params(spec, self.seed, rng.PARAM_INIT, enc_index, name))
+            values.update(init_mlp_params(spec, self.seed, rng.PARAM_INIT, enc_index, name))
+        self._init_parameters(values)
 
     @classmethod
     def build(
@@ -305,38 +347,51 @@ class TrainResult:
     config: TrainConfig
 
 
-def _grad(p: Tensor) -> np.ndarray:
-    return p.grad if p.grad is not None else np.zeros_like(p.data)
-
-
 class _Sgd:
     def __init__(self, config):
         self.lr = config.learning_rate
 
-    def step(self, params: Mapping[str, Tensor]) -> dict[str, np.ndarray]:
-        return {name: p.data - self.lr * _grad(p) for name, p in params.items()}
+    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        return params - self.lr * grad
 
 
 class _Adam:
-    def __init__(self, config):
+    """Adam (arXiv 1412.6980) over flat buffers, updated in place.
+
+    The elementwise operations keep the textbook order, so every rounding
+    matches the per-parameter formula:
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + ((1 - b2) * g) * g
+        p - (lr * (m / (1 - b1^t))) / (sqrt(v / (1 - b2^t)) + eps)
+    The new parameters go to a fresh buffer, so no existing tensor changes.
+    """
+
+    def __init__(self, config, size: int):
         self.lr = config.learning_rate
         self.b1, self.b2, self.eps = config.adam_beta1, config.adam_beta2, config.adam_eps
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._s1 = np.empty(size)
+        self._s2 = np.empty(size)
 
-    def step(self, params: Mapping[str, Tensor]) -> dict[str, np.ndarray]:
+    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
         self.t += 1
-        updated = {}
-        for name, p in params.items():
-            grad = _grad(p)
-            m = self.b1 * self.m.get(name, 0.0) + (1.0 - self.b1) * grad
-            v = self.b2 * self.v.get(name, 0.0) + (1.0 - self.b2) * grad * grad
-            self.m[name], self.v[name] = m, v
-            m_hat = m / (1.0 - self.b1**self.t)
-            v_hat = v / (1.0 - self.b2**self.t)
-            updated[name] = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-        return updated
+        m, v, s1, s2 = self.m, self.v, self._s1, self._s2
+        np.multiply(m, self.b1, out=m)
+        np.multiply(grad, 1.0 - self.b1, out=s1)
+        np.add(m, s1, out=m)
+        np.multiply(v, self.b2, out=v)
+        np.multiply(grad, 1.0 - self.b2, out=s1)
+        np.multiply(s1, grad, out=s1)
+        np.add(v, s1, out=v)
+        np.divide(m, 1.0 - self.b1**self.t, out=s1)
+        np.multiply(s1, self.lr, out=s1)
+        np.divide(v, 1.0 - self.b2**self.t, out=s2)
+        np.sqrt(s2, out=s2)
+        np.add(s2, self.eps, out=s2)
+        np.divide(s1, s2, out=s1)
+        return np.subtract(params, s1)
 
 
 def fit(
@@ -358,7 +413,9 @@ def fit(
     epoch, the step and the shuffle seed. Returns, per epoch, the (loss,
     batch size) of every step taken.
     """
-    optimizer = _Adam(config) if config.optimizer == "adam" else _Sgd(config)
+    size = params.parameter_count()
+    optimizer = _Adam(config, size) if config.optimizer == "adam" else _Sgd(config)
+    grad = np.empty(size)
     epochs = []
     step = 0
     for epoch in range(config.epochs):
@@ -387,7 +444,8 @@ def fit(
                         step=step,
                     ) from err
             if config.learning_rate > 0:
-                params.replace_parameters(optimizer.step(params.parameters()))
+                new = optimizer.step(params.flat_parameters(), params.gradients(grad))
+                params.replace_parameters(new)
             steps.append((value, idx.size))
             step += 1
         epochs.append(steps)

@@ -63,8 +63,7 @@ def save_checkpoint(path, model: GmcModel) -> None:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for p in params.values():
-            fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+        fh.write(model.flat_parameters().astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> GmcModel:
@@ -127,37 +126,54 @@ def _cell(value) -> str:
 
 
 def write_csv(path, header: list[str], rows) -> None:
+    """Header line plus one line per row. A 2-D float64 array is formatted
+    in bulk: "%.17g" is the same conversion as `format_float`."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
+        fmt = ",".join(["%.17g"] * rows.shape[1])
+        lines.extend(fmt % tuple(row) for row in rows.tolist())
+    else:
+        lines.extend(",".join(_cell(v) for v in row) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _raise_if_ragged(path, header: list[str], rows: list[str]) -> None:
-    """Name the first data row whose cell count differs from the header's."""
+def _reject_rows(path, header: list[str], rows: list[str], parse_error: str):
+    """Raise the DataError for rows the bulk parser refused: the first ragged
+    row, else the first cell `float` cannot read, else the parser's own
+    reason (a cell such as `1_0` that `float` reads but a CSV does not hold)."""
     for r, line in enumerate(rows, 1):
         cells = line.count(",") + 1
         if cells != len(header):
             raise DataError(f"ragged CSV {path}: data row {r} has {cells} cells vs {len(header)} header fields")
+    for line in rows:
+        for cell in line.split(","):
+            try:
+                float(cell)
+            except ValueError as err:
+                raise DataError(f"non-numeric cell in {path}: {err}") from err
+    raise DataError(f"non-numeric cell in {path}: {parse_error}")
 
 
 def read_matrix_csv(path) -> tuple[list[str], np.ndarray]:
-    """Read a numeric CSV written by write_csv: header plus float rows."""
+    """Read a numeric CSV written by write_csv: header plus float rows.
+
+    Every data line must hold one decimal number per header field: a blank
+    line, a `#` or any other text is an error, never skipped.
+    """
     text = Path(path).read_text(encoding="utf-8").strip("\n")
     lines = text.split("\n")
     if not lines or not lines[0]:
         raise DataError(f"empty CSV: {path}")
-    header = lines[0].split(",")
+    header, rows = lines[0].split(","), lines[1:]
+    if not rows:
+        return header, np.array([], dtype=np.float64)
     try:
-        data = np.array(
-            [[float(cell) for cell in line.split(",")] for line in lines[1:]], dtype=np.float64
-        )
+        data = np.loadtxt(rows, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
     except ValueError as err:
-        # numpy also raises ValueError on rows of unequal length
-        _raise_if_ragged(path, header, lines[1:])
-        raise DataError(f"non-numeric cell in {path}: {err}") from err
-    if lines[1:] and data.shape[1] != len(header):
-        _raise_if_ragged(path, header, lines[1:])
+        _reject_rows(path, header, rows, str(err))
+    # loadtxt skips blank lines, so a short count means one was there
+    if data.shape != (len(rows), len(header)):
+        _reject_rows(path, header, rows, "blank line")
     if not np.all(np.isfinite(data)):
         row, col = np.argwhere(~np.isfinite(data))[0]
         raise DataError(f"non-finite cell in {path}: data row {row + 1}, column {header[col]}")

@@ -149,18 +149,14 @@ def generate(config: SynthConfig) -> MultimodalDataset:
     if config.label_modality:
         sigmas = sigmas + (0.0,)  # the label modality renders the exact one-hot
 
-    labels = np.array([int(rng.stream(config.seed, rng.LABEL, i).integers(c)) for i in range(n)])
-    styles = np.stack(
-        [rng.stream(config.seed, rng.STYLE, i).standard_normal(config.style_dim) for i in range(n)]
-    )
+    labels = np.array(rng.per_index(config.seed, rng.LABEL, n, "integers", c), dtype=np.int64)
+    styles = np.stack(rng.per_index(config.seed, rng.STYLE, n, "standard_normal", config.style_dim))
 
     modalities = []
     for m, dim in enumerate(config.effective_dims()):
         clean = templates[m][:, labels].T + styles @ mixers[m].T
         if sigmas[m] > 0.0:
-            noise = np.stack(
-                [rng.stream(config.seed, rng.NOISE, i, m).standard_normal(dim) for i in range(n)]
-            )
+            noise = np.stack(rng.per_index(config.seed, rng.NOISE, n, "standard_normal", dim, b=m))
             clean = clean + sigmas[m] * noise
         modalities.append(clean)
 

@@ -39,7 +39,8 @@ class Tensor:
 
     @classmethod
     def _from_owned(cls, arr: np.ndarray, requires_grad: bool = False) -> "Tensor":
-        # Internal fast path: `arr` is freshly computed and not aliased.
+        # Internal fast path: `arr` is freshly computed, or a view of a
+        # buffer no one writes to any more.
         # ascontiguousarray would promote 0-d scalars to 1-d, so avoid it
         # unless the layout actually needs fixing.
         t = object.__new__(cls)
@@ -164,16 +165,11 @@ def matmul(a: Tensor, b: Tensor, *, transpose_a: bool = False, transpose_b: bool
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a 1-D bias added to each row of a matrix."""
-    bias = a.data.ndim == 2 and b.data.ndim == 1 and b.shape[0] == a.shape[1]
-    if not bias and a.shape != b.shape:
+    """Elementwise sum of two same-shape tensors."""
+    if a.shape != b.shape:
         raise ShapeError("add", a.shape, b.shape)
     out = Tensor._from_owned(a.data + b.data)
-
-    def bwd(g: np.ndarray):
-        return (g, g.sum(axis=0) if bias else g)
-
-    return _record(out, (a, b), bwd)
+    return _record(out, (a, b), lambda g: (g, g))
 
 
 def scale(x: Tensor, factor: float) -> Tensor:
@@ -183,21 +179,42 @@ def scale(x: Tensor, factor: float) -> Tensor:
     return _record(out, (x,), lambda g: (g * f,))
 
 
-def relu(x: Tensor) -> Tensor:
-    out = Tensor._from_owned(np.maximum(x.data, 0.0))
-    # Subgradient at exactly zero is zero.
-    return _record(out, (x,), lambda g: (g * (x.data > 0.0),))
+ACTIVATIONS = ("relu", "swish")
 
 
-def swish(x: Tensor) -> Tensor:
-    """x * sigmoid(x), the unit-beta swish."""
-    sig = 1.0 / (1.0 + np.exp(-x.data))
-    out = Tensor._from_owned(x.data * sig)
+def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Tensor:
+    """One MLP layer as one node: act((x @ w) + b).
+
+    `activation` is "relu", "swish" (x * sigmoid(x)) or None for a linear
+    layer. The backward returns exactly the arrays a matmul, bias-add and
+    activation chain would, and skips each product whose input needs no
+    gradient: g @ w.T is never formed for a network's input layer.
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError("dense", x.shape, w.shape, b.shape)
+    if activation is not None and activation not in ACTIVATIONS:
+        raise ContractError(f"unknown activation {activation!r}")
+    pre = x.data @ w.data
+    pre += b.data
+    if activation == "relu":
+        out = np.maximum(pre, 0.0)
+    elif activation == "swish":
+        sig = 1.0 / (1.0 + np.exp(-pre))
+        out = pre * sig
+    else:
+        out = pre
 
     def bwd(g: np.ndarray):
-        return (g * (sig * (1.0 + x.data * (1.0 - sig))),)
+        if activation == "relu":
+            # Subgradient at exactly zero is zero.
+            g = g * (pre > 0.0)
+        elif activation == "swish":
+            g = g * (sig * (1.0 + pre * (1.0 - sig)))
+        gx = g @ w.data.T if x.requires_grad else None
+        gw = x.data.T @ g if w.requires_grad else None
+        return (gx, gw, g.sum(axis=0))
 
-    return _record(out, (x,), bwd)
+    return _record(Tensor._from_owned(out), (x, w, b), bwd)
 
 
 def exp(x: Tensor) -> Tensor:
@@ -259,6 +276,36 @@ def dot(u: Tensor, v: Tensor) -> Tensor:
         return (gf * v.data, gf * u.data)
 
     return _record(out, (u, v), bwd)
+
+
+def softmax_cross_entropy(logits: Tensor, onehot: np.ndarray) -> Tensor:
+    """Mean cross-entropy of (B, C) raw logits against (B, C) one-hot rows.
+
+    Each row's log-sum-exp is shifted by the row maximum, which changes no
+    value. The exponentials are taken in the (C, B) transpose and summed
+    down its columns: that layout fixes the order of every summation, and
+    with it the trained bytes. The gradient is (softmax - onehot) / B,
+    computed in that same layout.
+    """
+    if logits.data.ndim != 2 or onehot.shape != logits.shape:
+        raise ShapeError("softmax_cross_entropy", logits.shape, onehot.shape)
+    b = logits.shape[0]
+    shifts = logits.data.max(axis=1)
+    e = np.array(logits.data.T, order="C")
+    e += -shifts
+    np.exp(e, out=e)
+    colsum = np.sum(e, axis=0)
+    if not np.all(colsum > 0.0):
+        raise DomainError(f"softmax_cross_entropy: non-positive exponential sum (min {colsum.min()})")
+    lse_total = np.sum(np.log(colsum)) + shifts.sum()
+    picked = np.asarray(float(np.sum(logits.data * onehot)))
+    out = Tensor._from_owned((lse_total + picked * -1.0) * (1.0 / b))
+
+    def bwd(g: np.ndarray):
+        s = g * (1.0 / b)
+        return (float(s * -1.0) * onehot + (e * (s / colsum)).T,)
+
+    return _record(out, (logits,), bwd)
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, step: float = 1e-6) -> float:

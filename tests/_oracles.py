@@ -3,15 +3,22 @@
 Everything here is written with explicit loops over Python floats,
 independent of the package's tensor engine and numpy formulations, so the
 production code and these oracles can only agree by computing the same
-mathematics. The one exception is `knn_edges_loops`: k-NN edges must agree
-bit for bit on ties and near-ties, so it keeps the straightforward per-point
-numpy distance loop whose arithmetic the production graph reproduces.
+mathematics. The exceptions are references that production code must match
+bit for bit, so they keep the straightforward arithmetic it reproduces:
+`knn_edges_loops` (k-NN edges on ties and near-ties, one numpy distance row
+per point) and, at the end of this file, the tape chains, dict optimizers
+and CSV reader and writer that the fused and flat versions replaced.
 """
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+
+from gmc.errors import DataError
+from gmc.tensor import Tensor, _record, add, dot, exp, log, matmul, scale
+from gmc.tensor import sum as tsum
 
 
 def cos_loops(u, v):
@@ -171,3 +178,138 @@ def dca_scores_fractions(n, edges, is_eval):
         "harmonic": harmonic,
         "components": comp,
     }
+
+
+# --- replaced implementations, kept as bit-identity references ----------------
+
+
+def bias_add(a, b):
+    """(B, n) + (n,) on the tape; the bias gradient is the column sum."""
+    out = Tensor._from_owned(a.data + b.data)
+    return _record(out, (a, b), lambda g: (g, g.sum(axis=0)))
+
+
+def relu_node(x):
+    out = Tensor._from_owned(np.maximum(x.data, 0.0))
+    return _record(out, (x,), lambda g: (g * (x.data > 0.0),))
+
+
+def swish_node(x):
+    sig = 1.0 / (1.0 + np.exp(-x.data))
+    out = Tensor._from_owned(x.data * sig)
+    return _record(out, (x,), lambda g: (g * (sig * (1.0 + x.data * (1.0 - sig))),))
+
+
+def dense_chain(x, w, b, activation):
+    """One layer as three tape nodes: matmul, bias add, activation."""
+    h = bias_add(matmul(x, w), b)
+    if activation == "relu":
+        return relu_node(h)
+    if activation == "swish":
+        return swish_node(h)
+    return h
+
+
+def mlp_chain(spec, params, prefix, x):
+    h = x
+    for layer in range(spec.layer_count):
+        act = spec.activations[layer] if layer < spec.layer_count - 1 else None
+        h = dense_chain(h, params[f"{prefix}/w{layer}"], params[f"{prefix}/b{layer}"], act)
+    return h
+
+
+def cross_entropy_chain(logits, y):
+    """Mean cross-entropy as eleven tape nodes, in the (C, B) layout reached
+    through an identity-matrix product."""
+    b, c = logits.shape
+    shifts = logits.data.max(axis=1)
+    transposed = matmul(Tensor(np.eye(c)), logits, transpose_b=True)
+    shifted = bias_add(transposed, Tensor(-shifts))
+    log_norms = log(tsum(exp(shifted), axis=0))
+    lse_total = add(tsum(log_norms), Tensor(shifts.sum()))
+    picked = dot(logits, Tensor(np.eye(c)[y]))
+    return scale(add(lse_total, scale(picked, -1.0)), 1.0 / b)
+
+
+def _grad(p):
+    return p.grad if p.grad is not None else np.zeros_like(p.data)
+
+
+class SgdDict:
+    def __init__(self, lr):
+        self.lr = lr
+
+    def step(self, params):
+        return {name: p.data - self.lr * _grad(p) for name, p in params.items()}
+
+
+class AdamDict:
+    """Adam as one update per named parameter."""
+
+    def __init__(self, lr, b1, b2, eps):
+        self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
+        self.t = 0
+        self.m = {}
+        self.v = {}
+
+    def step(self, params):
+        self.t += 1
+        updated = {}
+        for name, p in params.items():
+            grad = _grad(p)
+            m = self.b1 * self.m.get(name, 0.0) + (1.0 - self.b1) * grad
+            v = self.b2 * self.v.get(name, 0.0) + (1.0 - self.b2) * grad * grad
+            self.m[name], self.v[name] = m, v
+            m_hat = m / (1.0 - self.b1**self.t)
+            v_hat = v / (1.0 - self.b2**self.t)
+            updated[name] = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        return updated
+
+
+def _cell(value):
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    return str(value)
+
+
+def write_csv_cells(path, header, rows):
+    """One `format(x, ".17g")` per cell."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_cell(v) for v in row))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def read_matrix_csv_cells(path):
+    """One Python `float()` per cell."""
+    text = Path(path).read_text(encoding="utf-8").strip("\n")
+    lines = text.split("\n")
+    if not lines or not lines[0]:
+        raise DataError(f"empty CSV: {path}")
+    header = lines[0].split(",")
+
+    def raise_if_ragged():
+        for r, line in enumerate(lines[1:], 1):
+            cells = line.count(",") + 1
+            if cells != len(header):
+                raise DataError(
+                    f"ragged CSV {path}: data row {r} has {cells} cells vs {len(header)} header fields"
+                )
+
+    try:
+        data = np.array(
+            [[float(cell) for cell in line.split(",")] for line in lines[1:]], dtype=np.float64
+        )
+    except ValueError as err:
+        raise_if_ragged()
+        raise DataError(f"non-numeric cell in {path}: {err}") from err
+    if lines[1:] and data.shape[1] != len(header):
+        raise_if_ragged()
+    if not np.all(np.isfinite(data)):
+        row, col = np.argwhere(~np.isfinite(data))[0]
+        raise DataError(f"non-finite cell in {path}: data row {row + 1}, column {header[col]}")
+    return header, data

@@ -1,0 +1,280 @@
+"""The fused and flat code paths against the code they replaced, byte for byte.
+
+`dense`, `softmax_cross_entropy`, the flat optimizers, the bulk CSV reader
+and writer and `rng.per_index` each promise the exact bytes of a longer
+path kept in `tests/_oracles.py`. Every comparison here is on `tobytes()`,
+so a single changed rounding fails.
+"""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from _oracles import (
+    AdamDict,
+    SgdDict,
+    cross_entropy_chain,
+    dense_chain,
+    mlp_chain,
+    read_matrix_csv_cells,
+    write_csv_cells,
+)
+from gmc import rng
+from gmc import tensor as T
+from gmc.downstream import ProbeClassifier, ProbeConfig, cross_entropy
+from gmc.errors import DataError, ShapeError
+from gmc.loss import RepresentationBatch, mnt_xent
+from gmc.model import GmcModel, _Adam, _Sgd, batch_loss
+from gmc.persist import read_matrix_csv, write_csv
+from gmc.tensor import Tape, Tensor
+
+
+def _bytes(a):
+    return None if a is None else (a.shape, a.tobytes())
+
+
+# --- dense ---------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    batch=st.integers(1, 70),
+    n_in=st.integers(1, 9),
+    n_out=st.integers(1, 9),
+    activation=st.sampled_from(["relu", "swish", None]),
+    x_grad=st.booleans(),
+    integral=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dense_matches_matmul_add_activation_chain(batch, n_in, n_out, activation, x_grad, integral, seed):
+    gen = np.random.default_rng(seed)
+    if integral:  # small integers put exact zeros at the relu kink
+        x, w, b = (gen.integers(-2, 3, size).astype(float) for size in ((batch, n_in), (n_in, n_out), n_out))
+    else:
+        x, w, b = gen.normal(size=(batch, n_in)), gen.normal(size=(n_in, n_out)), gen.normal(size=n_out)
+    upstream = Tensor(gen.normal(size=(batch, n_out)))
+
+    def run(layer):
+        xt, wt, bt = Tensor(x, requires_grad=x_grad), Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+        with Tape() as tape:
+            out = layer(xt, wt, bt, activation)
+            loss = T.dot(out, upstream)
+        tape.backward(loss)
+        return [_bytes(a) for a in (out.data, xt.grad, wt.grad, bt.grad)]
+
+    assert run(T.dense) == run(dense_chain)
+
+
+# --- cross-entropy -------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    batch=st.integers(1, 70),
+    classes=st.integers(2, 12),
+    log_scale=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cross_entropy_matches_eleven_node_chain(batch, classes, log_scale, seed):
+    gen = np.random.default_rng(seed)
+    logits = gen.normal(size=(batch, classes)) * 10.0**log_scale
+    y = gen.integers(classes, size=batch)
+
+    def run(loss_fn):
+        t = Tensor(logits, requires_grad=True)
+        with Tape() as tape:
+            loss = loss_fn(t, y)
+        tape.backward(loss)
+        return _bytes(loss.data), _bytes(t.grad)
+
+    assert run(cross_entropy) == run(cross_entropy_chain)
+
+
+# --- whole networks --------------------------------------------------------------
+
+
+def _leaf_copies(params):
+    return {name: Tensor(p.data, requires_grad=True) for name, p in params.items()}
+
+
+@pytest.mark.parametrize("batch", [64, 5])
+def test_gmc_step_matches_chain_with_78_nodes(batch):
+    gen = np.random.default_rng(batch)
+    model = GmcModel.build((20, 16, 12), seed=4)
+    xs = [gen.normal(size=(batch, d)) for d in (20, 16, 12)]
+    xc = np.concatenate(xs, axis=1)
+    with Tape() as tape:
+        loss = batch_loss(model, xs, xc, 0.1)
+    tape.backward(loss)
+    assert len(tape) == 78
+
+    old = _leaf_copies(model.parameters())
+    with Tape() as old_tape:
+        zs = [
+            mlp_chain(model.head_spec, old, "head", mlp_chain(model.base_specs[m], old, f"enc{m}", Tensor(x)))
+            for m, x in enumerate(xs)
+        ]
+        zc = mlp_chain(model.head_spec, old, "head", mlp_chain(model.base_specs[-1], old, "enc_complete", Tensor(xc)))
+        old_loss = mnt_xent(RepresentationBatch(zs, zc), 0.1)
+    old_tape.backward(old_loss)
+    assert len(old_tape) == 102
+    assert loss.data.tobytes() == old_loss.data.tobytes()
+    for name, p in model.parameters().items():
+        assert _bytes(p.grad) == _bytes(old[name].grad), name
+
+
+def test_probe_step_matches_chain_with_4_nodes():
+    gen = np.random.default_rng(9)
+    probe = ProbeClassifier(64, 10, seed=2)
+    z, y = gen.normal(size=(64, 64)), gen.integers(10, size=64)
+    with Tape() as tape:
+        loss = cross_entropy(probe.logits(z), y)
+    tape.backward(loss)
+    assert len(tape) == 4
+
+    old = _leaf_copies(probe.parameters())
+    with Tape() as old_tape:
+        old_loss = cross_entropy_chain(mlp_chain(probe.spec, old, "probe", Tensor(z)), y)
+    old_tape.backward(old_loss)
+    assert len(old_tape) == 19
+    assert loss.data.tobytes() == old_loss.data.tobytes()
+    for name, p in probe.parameters().items():
+        assert _bytes(p.grad) == _bytes(old[name].grad), name
+
+
+# --- optimizers ------------------------------------------------------------------
+
+_GRAD_KINDS = ("missing", "zero", "negative_zero", "normal")
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    optimizer=st.sampled_from(["adam", "sgd"]),
+    lr=st.floats(1e-5, 1.0),
+    b1=st.floats(0.0, 0.99),
+    b2=st.floats(0.0, 0.9999),
+    eps=st.floats(1e-12, 1e-2),
+    steps=st.integers(5, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flat_optimizers_match_dict_optimizers(optimizer, lr, b1, b2, eps, steps, seed):
+    gen = np.random.default_rng(seed)
+    config = ProbeConfig(learning_rate=lr, adam_beta1=b1, adam_beta2=b2, adam_eps=eps, optimizer=optimizer)
+    probe = ProbeClassifier(3, 4, hidden=(5,), seed=seed % 1000)
+    size = probe.parameter_count()
+    flat = _Adam(config, size) if optimizer == "adam" else _Sgd(config)
+    reference = AdamDict(lr, b1, b2, eps) if optimizer == "adam" else SgdDict(lr)
+    values = {name: p.data.copy() for name, p in probe.parameters().items()}
+    buffer = np.empty(size)
+    for _ in range(steps):
+        old = {name: Tensor(v) for name, v in values.items()}
+        for name, p in probe.parameters().items():
+            kind = _GRAD_KINDS[gen.integers(len(_GRAD_KINDS))]
+            if kind == "missing":
+                continue
+            grad = np.zeros(p.shape)
+            if kind == "negative_zero":
+                grad = -grad
+            elif kind == "normal":
+                grad = gen.normal(size=p.shape) * 10.0 ** gen.integers(-8, 3)
+                grad[gen.random(p.shape) < 0.2] = -0.0
+            p.grad = old[name].grad = grad
+        values = reference.step(old)
+        probe.replace_parameters(flat.step(probe.flat_parameters(), probe.gradients(buffer)))
+        for name, p in probe.parameters().items():
+            assert p.data.tobytes() == values[name].tobytes(), name
+
+
+def test_flat_parameters_are_views_of_one_read_only_buffer():
+    model = GmcModel.build((4, 3), d=3, s=3, hidden=4)
+    flat = model.flat_parameters()
+    assert flat.size == model.parameter_count() and not flat.flags.writeable
+    views = list(model.parameters().values())
+    assert all(np.shares_memory(p.data, flat) for p in views)
+    assert np.concatenate([p.data.ravel() for p in views]).tobytes() == flat.tobytes()
+    # a subset swap builds a new buffer and leaves the old tensors untouched
+    before = views[0].data.copy()
+    model.replace_parameters({"enc0/w0": np.zeros(views[0].shape)})
+    assert views[0].data.tobytes() == before.tobytes()
+    assert not np.any(model.parameters()["enc0/w0"].data)
+    with pytest.raises(ShapeError):
+        model.replace_parameters(np.zeros(flat.size - 1))
+
+
+# --- CSV -------------------------------------------------------------------------
+
+_special = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308])
+_doubles = st.one_of(st.floats(allow_nan=True, allow_infinity=True, width=64), _special)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(0, 6), cols=st.integers(1, 5), data=st.data())
+def test_bulk_writer_matches_cell_writer(rows, cols, data):
+    mat = np.array(data.draw(st.lists(_doubles, min_size=rows * cols, max_size=rows * cols)), dtype=np.float64)
+    mat = mat.reshape(rows, cols)
+    header = [f"c{j}" for j in range(cols)]
+    with tempfile.TemporaryDirectory() as tmp:
+        write_csv(Path(tmp) / "bulk.csv", header, mat)
+        write_csv_cells(Path(tmp) / "cells.csv", header, mat)
+        assert (Path(tmp) / "bulk.csv").read_bytes() == (Path(tmp) / "cells.csv").read_bytes()
+
+
+_cells = st.one_of(
+    _doubles.map(lambda x: format(x, ".17g")),
+    st.sampled_from(["", " ", "1 ", " -2", "+3", ".5", "5.", "1e5", "1E-5", "inf", "-Infinity", "NaN", "x", "#", "1#2", "0x1", "1d5", "\r", "2\r"]),
+)
+
+
+def _outcome(reader, path):
+    try:
+        header, mat = reader(path)
+    except DataError as err:
+        return ("error", str(err))
+    return header, mat.shape, mat.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    header=st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3),
+    lines=st.lists(st.lists(_cells, min_size=1, max_size=4), max_size=5),
+    trailing=st.sampled_from(["", "\n", "\n\n"]),
+)
+def test_bulk_reader_matches_cell_reader(header, lines, trailing):
+    text = "\n".join([",".join(header)] + [",".join(cells) for cells in lines]) + trailing
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        path.write_text(text, encoding="utf-8")
+        assert _outcome(read_matrix_csv, path) == _outcome(read_matrix_csv_cells, path)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("1_0,2\n", "non-numeric cell"),
+        ("1,2\n\n3,4\n", "data row 2 has 1 cells"),
+        ("1,2\n# 3,4\n", "non-numeric cell"),
+        ("1,2#3\n", "non-numeric cell"),
+    ],
+)
+def test_underscores_blank_lines_and_comments_are_rejected(tmp_path, body, message):
+    (tmp_path / "m.csv").write_text("a,b\n" + body)
+    with pytest.raises(DataError, match=message):
+        read_matrix_csv(tmp_path / "m.csv")
+
+
+# --- random streams --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "purpose, method, args, b",
+    [(rng.LABEL, "integers", (10,), 0), (rng.STYLE, "standard_normal", (4,), 0), (rng.NOISE, "standard_normal", (20,), 2)],
+)
+def test_per_index_draws_equal_fresh_streams(purpose, method, args, b):
+    for seed in (0, 7, 2**64 - 1):
+        fresh = [getattr(rng.stream(seed, purpose, i, b), method)(*args) for i in range(3400)]
+        rekeyed = rng.per_index(seed, purpose, 3400, method, *args, b=b)
+        assert [_bytes(np.asarray(v)) for v in rekeyed] == [_bytes(np.asarray(v)) for v in fresh]

@@ -42,16 +42,22 @@ def test_matmul_transpose_flags(ta, tb):
     assert np.allclose(out.data, expect, atol=0, rtol=0)
 
 
+def _identity_layer(x: Tensor, activation):
+    """dense with an identity weight and zero bias: the bare activation."""
+    n = x.shape[1]
+    return T.dense(x, Tensor(np.eye(n)), Tensor(np.zeros(n)), activation)
+
+
 def test_swish_at_zero_is_zero():
-    assert T.swish(Tensor([0.0])).data[0] == 0.0
+    assert _identity_layer(Tensor([[0.0]]), "swish").data[0, 0] == 0.0
 
 
 def test_relu_subgradient_at_zero_is_zero():
-    x = Tensor([0.0, -1.0, 2.0], requires_grad=True)
+    x = Tensor([[0.0, -1.0, 2.0]], requires_grad=True)
     with Tape() as tape:
-        y = T.sum(T.relu(x))
+        y = T.sum(_identity_layer(x, "relu"))
     tape.backward(y)
-    assert np.array_equal(x.grad, [0.0, 0.0, 1.0])
+    assert np.array_equal(x.grad, [[0.0, 0.0, 1.0]])
 
 
 def test_backward_of_sum_is_ones():
@@ -84,13 +90,23 @@ def test_fanout_gradients_accumulate():
 
 
 def test_bias_add_gradient_sums_rows():
-    w = Tensor(np.ones((4, 3)), requires_grad=True)
+    x = Tensor(np.ones((4, 3)), requires_grad=True)
     b = Tensor([1.0, 2.0, 3.0], requires_grad=True)
     with Tape() as tape:
-        y = T.sum(T.add(w, b))
+        y = T.sum(T.dense(x, Tensor(np.eye(3)), b))
     tape.backward(y)
     assert np.array_equal(b.grad, [4.0, 4.0, 4.0])
-    assert np.array_equal(w.grad, np.ones((4, 3)))
+    assert np.array_equal(x.grad, np.ones((4, 3)))
+
+
+def test_dense_skips_input_gradient_it_does_not_need():
+    w = Tensor(np.ones((3, 2)), requires_grad=True)
+    with Tape() as tape:
+        y = T.sum(T.dense(Tensor(np.ones((4, 3))), w, Tensor(np.zeros(2)), "relu"))
+    gx, gw, gb = tape._nodes[0].bwd(np.ones((4, 2)))
+    assert gx is None and gw.shape == (3, 2) and gb.shape == (2,)
+    tape.backward(y)
+    assert np.array_equal(w.grad, np.full((3, 2), 4.0))
 
 
 def test_grad_check_sum_is_at_rounding_noise():
@@ -104,10 +120,11 @@ _SCALAR_CASES = {
     "matmul": lambda t: T.sum(T.matmul(t, Tensor(np.linspace(-1, 1, 12).reshape(4, 3)))),
     "matmul_t": lambda t: T.sum(T.matmul(t, Tensor(np.linspace(-2, 1, 12).reshape(3, 4)), transpose_b=True)),
     "add": lambda t: T.sum(T.add(t, Tensor(np.ones((3, 4))))),
-    "bias": lambda t: T.sum(T.add(Tensor(np.ones((5, 4))), T.sum(t, axis=0))),
+    "bias": lambda t: T.sum(T.dense(Tensor(np.ones((5, 2))), Tensor(np.ones((2, 4))), T.sum(t, axis=0))),
     "scale": lambda t: T.sum(T.scale(t, -1.7)),
-    "relu": lambda t: T.sum(T.relu(t)),
-    "swish": lambda t: T.sum(T.swish(t)),
+    "relu": lambda t: T.sum(_identity_layer(t, "relu")),
+    "swish": lambda t: T.sum(_identity_layer(t, "swish")),
+    "dense_w": lambda t: T.sum(T.dense(Tensor(np.linspace(-1, 1, 6).reshape(2, 3)), t, Tensor(np.ones(4)), "swish")),
     "exp": lambda t: T.sum(T.exp(t)),
     "sum_axis": lambda t: T.sum(T.scale(T.sum(t, axis=0), 0.5)),
     "dot": lambda t: T.dot(t, Tensor(np.linspace(1, 2, 12).reshape(3, 4))),
@@ -135,7 +152,7 @@ def test_log_gradient_on_positive_inputs():
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(-3, 3), min_size=2, max_size=6))
 def test_swish_gradient_anywhere(values):
-    err = grad_check(lambda t: T.sum(T.swish(t)), Tensor(values))
+    err = grad_check(lambda t: T.sum(_identity_layer(t, "swish")), Tensor([values]))
     assert err < 1e-5
 
 
@@ -150,6 +167,8 @@ def test_shape_error_names_primitive_and_shapes():
         T.dot(Tensor([1.0]), Tensor([1.0, 2.0]))
     with pytest.raises(ShapeError):
         T.row_normalize(Tensor([3.0, 4.0]))
+    with pytest.raises(ShapeError, match="dense"):
+        T.dense(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
 
 
 def test_log_rejects_non_positive_input():
@@ -174,7 +193,7 @@ def test_forward_identical_with_and_without_gradients():
     w = rng.normal(size=(3, 2))
 
     def pipeline(xt, wt):
-        return T.sum(T.swish(T.matmul(xt, wt)))
+        return T.sum(T.dense(xt, wt, Tensor(np.zeros(2)), "swish"))
 
     plain = pipeline(Tensor(x), Tensor(w))
     with Tape():
@@ -194,9 +213,10 @@ def test_tapes_are_independent_across_threads():
     def work(tag, seed):
         rng = np.random.default_rng(seed)
         x = Tensor(rng.normal(size=(8, 8)), requires_grad=True)
+        bias = Tensor(np.linspace(-1, 1, 8))
         for _ in range(20):
             with Tape() as tape:
-                y = T.sum(T.swish(T.matmul(x, x, transpose_b=True)))
+                y = T.sum(T.dense(x, x, bias, "swish"))
             x.grad = None
             tape.backward(y)
             results[(tag, "grad")] = x.grad.copy()
@@ -210,7 +230,7 @@ def test_tapes_are_independent_across_threads():
     for i in range(4):
         x = results[(i, "x")]
         expect = grad_check(
-            lambda t: T.sum(T.swish(T.matmul(t, t, transpose_b=True))), Tensor(x.data)
+            lambda t: T.sum(T.dense(t, t, Tensor(np.linspace(-1, 1, 8)), "swish")), Tensor(x.data)
         )
         assert expect < 1e-5
         assert np.all(np.isfinite(results[(i, "grad")]))
