@@ -295,7 +295,10 @@ def cmd_eval_dca(args) -> None:
         raise ConfigError("--k", f"must be at least 1, got {args.k}")
     _, reference = read_matrix_csv(args.reference)
     _, evaluation = read_matrix_csv(args.evaluation)
-    if reference.ndim != 2 or reference.shape[1] != evaluation.shape[1]:
+    for path, points in ((args.reference, reference), (args.evaluation, evaluation)):
+        if points.size == 0:
+            raise DataError(f"embedding CSV holds no rows: {path}")
+    if reference.shape[1] != evaluation.shape[1]:
         raise ContractError(
             f"reference {reference.shape} and evaluation {evaluation.shape} widths differ"
         )

@@ -16,10 +16,10 @@ per-term mean is reported separately where traces need comparability).
 The ablated variant replaces Omega_m(i) by the complete-vs-complete mass
 alone, Omega*(i) = sum_{j != i} s_{c,c}(i,j), which is independent of m.
 
-Each pathway's rows are normalized once with one `row_normalize` call, and
-only the (m,c), (m,m), and (c,c) similarity blocks are materialized, so cost
-stays linear in M. The j = i terms drop out through a -inf diagonal shift,
-which is exact for every tau.
+The whole loss is one tape node with a hand-written backward. Each pathway's
+rows are normalized once, and only the (m,c), (m,m), and (c,c) similarity
+blocks are materialized, so cost stays linear in M. The j = i terms drop out
+through a -inf diagonal, which is exact for every tau.
 """
 
 from __future__ import annotations
@@ -29,15 +29,10 @@ import numbers
 
 import numpy as np
 
-from . import tensor as T
-from .errors import ContractError, DegenerateVectorError, ShapeError
-from .tensor import Tensor
+from .errors import ContractError, DegenerateVectorError, DomainError, ShapeError
+from .tensor import Tensor, _record
 
 _NORM_EPS = 1e-12
-# Added to the cosine diagonal before exp: exp(-inf) is exactly zero for every
-# tau, which removes the j = i terms from row sums without touching their
-# gradient (the true gradient of an excluded term is zero).
-_DIAG_SHIFT = -math.inf
 
 
 class RepresentationBatch:
@@ -78,46 +73,100 @@ def positive_term_count(batch: RepresentationBatch) -> int:
     return batch.modality_count * batch.batch_size
 
 
-def _unit_rows(z: Tensor, label: str) -> Tensor:
-    out, norms = T.row_normalize(z)
+def _unit_rows(z: Tensor, label: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of z over their norms: (unit rows, 1 / norms, norms).
+
+    Rows too short to have a direction are rejected before any division.
+    1 / n is taken as exp(-log n): the two differ in the last bit, and this
+    is the rounding every recorded checkpoint and loss trace was trained with.
+    """
+    x = z.data
+    norms = np.sqrt(np.sum(x * x, axis=1))
     bad = np.flatnonzero(norms <= _NORM_EPS)
     if bad.size:
         raise DegenerateVectorError(label, int(bad[0]))
-    return out
+    inv = np.exp(-np.log(norms))
+    return x * inv[:, None], inv, norms
+
+
+def _unit_rows_backward(g: np.ndarray, x: np.ndarray, inv: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    g_norm = ((np.sum(g * x, axis=1) * inv) * -1.0) / norms
+    return g * inv[:, None] + (g_norm / norms)[:, None] * x
 
 
 def _total_loss(batch: RepresentationBatch, tau, ablated: bool) -> Tensor:
-    # Tape.backward sums fan-in gradients in reverse record order, so the
-    # order of the calls below fixes the trained bytes.
+    """The total loss as one tape node.
+
+    The forward and backward repeat, operation for operation, the float
+    arithmetic of the loss written as a chain of generic tape primitives
+    (row normalization, matmul, add, scale, exp, sum, log, dot), in the order
+    Tape.backward replays that chain: fan-in gradients are summed in reverse
+    record order. That order fixes the trained bytes; the chain is kept in
+    tests/_oracles.py as the reference.
+    """
     finite = isinstance(tau, numbers.Real) and not isinstance(tau, bool) and math.isfinite(tau)
     if not (finite and tau > 0):
         raise ContractError(f"temperature must be a positive finite number, got {tau!r}")
     t = float(tau)
+    f, neg_f = 1.0 / t, -1.0 / t
     b = batch.batch_size
-    diag_shift = Tensor(np.where(np.eye(b, dtype=bool), _DIAG_SHIFT, 0.0))
-    eye = Tensor(np.eye(b))
+    eye = np.eye(b)
+    zs, zc = batch.per_modality, batch.complete
+    uc, inv_c, n_c = _unit_rows(zc, "complete")
+    rows = [_unit_rows(z, f"modality_{m + 1}") for m, z in enumerate(zs)]
 
-    def row_mass(cos: Tensor) -> Tensor:
-        """sum_{j != i} exp(cos(i, j) / tau) for every row i."""
-        return T.sum(T.exp(T.scale(T.add(cos, diag_shift), 1.0 / t)), axis=1)
+    def row_mass(cos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """exp(cos(i, j) / tau) with a zero diagonal, and its row sums."""
+        e = cos * f
+        np.fill_diagonal(e, -np.inf)  # exp(-inf) is exactly zero for every tau
+        np.exp(e, out=e)
+        return e, np.sum(e, axis=1)
 
-    zc = _unit_rows(batch.complete, "complete")
-    cc_mass = row_mass(T.matmul(zc, zc, transpose_b=True))
-    total: Tensor | None = None
-    for m, z in enumerate(batch.per_modality):
-        zm = _unit_rows(z, f"modality_{m + 1}")
-        cos_mc = T.matmul(zm, zc, transpose_b=True)
+    e_cc, cc_mass = row_mass(uc @ uc.T)
+    saved = []
+    total = None
+    for um, _, _ in rows:
+        cos_mc = um @ uc.T
         if ablated:
+            e_mc = e_mm = None
             omega = cc_mass
         else:
-            mc_mass = row_mass(cos_mc)
-            mm_mass = row_mass(T.matmul(zm, zm, transpose_b=True))
-            omega = T.add(T.add(mc_mass, mm_mass), cc_mass)
+            e_mc, mc_mass = row_mass(cos_mc)
+            e_mm, mm_mass = row_mass(um @ um.T)
+            omega = (mc_mass + mm_mass) + cc_mass
+        if not np.all(omega > 0.0):
+            raise DomainError(f"log: non-positive input (min {omega.min()})")
         # sum_i log Omega_m(i) - (1/tau) * sum_i cos(z_m^i, z_c^i)
-        positives = T.dot(cos_mc, eye)
-        part = T.add(T.sum(T.log(omega)), T.scale(positives, -1.0 / t))
-        total = part if total is None else T.add(total, part)
-    return total
+        part = float(np.sum(np.log(omega))) + float(np.sum(cos_mc * eye)) * neg_f
+        total = part if total is None else total + part
+        saved.append((omega, e_mc, e_mm))
+
+    def bwd(g: np.ndarray):
+        gf = float(g * neg_f)
+        grads = [None] * len(rows)
+        r_cc = g_uc = None
+        for m in reversed(range(len(rows))):
+            um, inv, norms = rows[m]
+            omega, e_mc, e_mm = saved[m]
+            r = g / omega
+            r_cc = r if r_cc is None else r_cc + r
+            g_mc = gf * eye
+            if ablated:
+                g_um = g_mc @ uc
+            else:
+                g_mc = g_mc + (r[:, None] * e_mc) * f
+                g_mm = (r[:, None] * e_mm) * f
+                g_um = (g_mm @ um + (um.T @ g_mm).T) + g_mc @ uc
+            grads[m] = _unit_rows_backward(g_um, zs[m].data, inv, norms)
+            g_b = (um.T @ g_mc).T
+            g_uc = g_b if g_uc is None else g_uc + g_b
+        g_cc = (r_cc[:, None] * e_cc) * f
+        g_uc = g_uc + g_cc @ uc
+        g_uc = g_uc + (uc.T @ g_cc).T
+        grads.append(_unit_rows_backward(g_uc, zc.data, inv_c, n_c))
+        return grads
+
+    return _record(Tensor._from_owned(np.asarray(total)), (*zs, zc), bwd)
 
 
 def mnt_xent(batch: RepresentationBatch, tau) -> Tensor:

@@ -237,8 +237,18 @@ def load_dataset(dataset_dir) -> MultimodalDataset:
         raise FormatError(f"labels.csv has unexpected header {header!r}")
     if label_data.size == 0:
         raise DataError(f"labels.csv holds no rows: {dataset_dir}")
-    labels = label_data[:, 0].astype(np.int64)
-    is_train = label_data[:, 1].astype(bool)
+    labels, split = label_data[:, 0], label_data[:, 1]
+    for name, column, bad, rule in (
+        ("label", labels, (labels < 0) | (labels != np.floor(labels)), "a non-negative integer"),
+        ("is_train", split, (split != 0.0) & (split != 1.0), "0 or 1"),
+    ):
+        rows = np.flatnonzero(bad)
+        if rows.size:
+            raise DataError(f"labels.csv: {name} {column[rows[0]]:g} in data row {rows[0] + 1} is not {rule}")
+    is_train = split == 1.0
+    if is_train.all() or not is_train.any():
+        raise DataError(f"labels.csv: split leaves an empty train or test set: {dataset_dir}")
+    labels = labels.astype(np.int64)
     modalities = []
     m = 0
     while (root / modality_filename(m)).exists():

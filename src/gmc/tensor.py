@@ -146,39 +146,6 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], bwd: Callable) -> Tensor:
 # --- primitives ------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor, *, transpose_a: bool = False, transpose_b: bool = False) -> Tensor:
-    """2-D matrix product, with optional transposes applied on the fly."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError("matmul", a.shape, b.shape)
-    A = a.data.T if transpose_a else a.data
-    B = b.data.T if transpose_b else b.data
-    if A.shape[1] != B.shape[0]:
-        raise ShapeError("matmul", a.shape, b.shape)
-    out = Tensor._from_owned(A @ B)
-
-    def bwd(g: np.ndarray):
-        ga = g @ B.T
-        gb = A.T @ g
-        return (ga.T if transpose_a else ga, gb.T if transpose_b else gb)
-
-    return _record(out, (a, b), bwd)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two same-shape tensors."""
-    if a.shape != b.shape:
-        raise ShapeError("add", a.shape, b.shape)
-    out = Tensor._from_owned(a.data + b.data)
-    return _record(out, (a, b), lambda g: (g, g))
-
-
-def scale(x: Tensor, factor: float) -> Tensor:
-    """Multiply by a Python number."""
-    f = float(factor)
-    out = Tensor._from_owned(x.data * f)
-    return _record(out, (x,), lambda g: (g * f,))
-
-
 ACTIVATIONS = ("relu", "swish")
 
 
@@ -215,67 +182,6 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Ten
         return (gx, gw, g.sum(axis=0))
 
     return _record(Tensor._from_owned(out), (x, w, b), bwd)
-
-
-def exp(x: Tensor) -> Tensor:
-    out = Tensor._from_owned(np.exp(x.data))
-    return _record(out, (x,), lambda g: (g * out.data,))
-
-
-def log(x: Tensor) -> Tensor:
-    if not np.all(x.data > 0.0):
-        raise DomainError(f"log: non-positive input (min {x.data.min() if x.size else 'empty'})")
-    out = Tensor._from_owned(np.log(x.data))
-    return _record(out, (x,), lambda g: (g / x.data,))
-
-
-def sum(x: Tensor, axis: int | None = None) -> Tensor:  # noqa: A001 - op vocabulary
-    if axis is not None and not -x.data.ndim <= axis < x.data.ndim:
-        raise ShapeError("sum", x.shape, (axis,))
-    out = Tensor._from_owned(np.sum(x.data, axis=axis))
-
-    def bwd(g: np.ndarray):
-        if axis is None:
-            return (np.broadcast_to(g, x.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), x.shape).copy(),)
-
-    return _record(out, (x,), bwd)
-
-
-def row_normalize(x: Tensor) -> tuple[Tensor, np.ndarray]:
-    """Each row of a 2-D tensor divided by its Euclidean norm.
-
-    Returns the output and the row norms, so the caller can reject rows too
-    short to have a direction. A zero row comes out as a zero row, without
-    a division by zero.
-    """
-    if x.data.ndim != 2:
-        raise ShapeError("row_normalize", x.shape)
-    norms = np.sqrt(np.sum(x.data * x.data, axis=1))
-    safe = np.where(norms > 0.0, norms, 1.0)
-    # exp(-log n), not 1/n: the two differ in the last bit, and this is the
-    # rounding every recorded checkpoint and loss trace was trained with.
-    inv = np.exp(-np.log(safe))
-    out = Tensor._from_owned(x.data * inv[:, None])
-
-    def bwd(g: np.ndarray):
-        g_norm = ((np.sum(g * x.data, axis=1) * inv) * -1.0) / safe
-        return (g * inv[:, None] + (g_norm / safe)[:, None] * x.data,)
-
-    return _record(out, (x,), bwd), norms
-
-
-def dot(u: Tensor, v: Tensor) -> Tensor:
-    """Inner product of two same-shape tensors (flattened)."""
-    if u.shape != v.shape:
-        raise ShapeError("dot", u.shape, v.shape)
-    out = Tensor._from_owned(np.asarray(float(np.sum(u.data * v.data))))
-
-    def bwd(g: np.ndarray):
-        gf = float(g)
-        return (gf * v.data, gf * u.data)
-
-    return _record(out, (u, v), bwd)
 
 
 def softmax_cross_entropy(logits: Tensor, onehot: np.ndarray) -> Tensor:

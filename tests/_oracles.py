@@ -6,19 +6,20 @@ production code and these oracles can only agree by computing the same
 mathematics. The exceptions are references that production code must match
 bit for bit, so they keep the straightforward arithmetic it reproduces:
 `knn_edges_loops` (k-NN edges on ties and near-ties, one numpy distance row
-per point) and, at the end of this file, the tape chains, dict optimizers
-and CSV reader and writer that the fused and flat versions replaced.
+per point) and, at the end of this file, the tape primitives, chains, dict
+optimizers and CSV reader and writer that the fused and flat versions
+replaced.
 """
 
 import math
+import numbers
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from gmc.errors import DataError
-from gmc.tensor import Tensor, _record, add, dot, exp, log, matmul, scale
-from gmc.tensor import sum as tsum
+from gmc.errors import ContractError, DataError, DegenerateVectorError, DomainError, ShapeError
+from gmc.tensor import Tensor, _record
 
 
 def cos_loops(u, v):
@@ -181,6 +182,143 @@ def dca_scores_fractions(n, edges, is_eval):
 
 
 # --- replaced implementations, kept as bit-identity references ----------------
+
+
+def matmul(a, b, *, transpose_a=False, transpose_b=False):
+    """2-D matrix product, with optional transposes applied on the fly."""
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError("matmul", a.shape, b.shape)
+    A = a.data.T if transpose_a else a.data
+    B = b.data.T if transpose_b else b.data
+    if A.shape[1] != B.shape[0]:
+        raise ShapeError("matmul", a.shape, b.shape)
+    out = Tensor._from_owned(A @ B)
+
+    def bwd(g):
+        ga = g @ B.T
+        gb = A.T @ g
+        return (ga.T if transpose_a else ga, gb.T if transpose_b else gb)
+
+    return _record(out, (a, b), bwd)
+
+
+def add(a, b):
+    """Elementwise sum of two same-shape tensors."""
+    if a.shape != b.shape:
+        raise ShapeError("add", a.shape, b.shape)
+    out = Tensor._from_owned(a.data + b.data)
+    return _record(out, (a, b), lambda g: (g, g))
+
+
+def scale(x, factor):
+    """Multiply by a Python number."""
+    f = float(factor)
+    out = Tensor._from_owned(x.data * f)
+    return _record(out, (x,), lambda g: (g * f,))
+
+
+def exp(x):
+    out = Tensor._from_owned(np.exp(x.data))
+    return _record(out, (x,), lambda g: (g * out.data,))
+
+
+def log(x):
+    if not np.all(x.data > 0.0):
+        raise DomainError(f"log: non-positive input (min {x.data.min() if x.size else 'empty'})")
+    out = Tensor._from_owned(np.log(x.data))
+    return _record(out, (x,), lambda g: (g / x.data,))
+
+
+def tsum(x, axis=None):
+    if axis is not None and not -x.data.ndim <= axis < x.data.ndim:
+        raise ShapeError("sum", x.shape, (axis,))
+    out = Tensor._from_owned(np.sum(x.data, axis=axis))
+
+    def bwd(g):
+        if axis is None:
+            return (np.broadcast_to(g, x.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis), x.shape).copy(),)
+
+    return _record(out, (x,), bwd)
+
+
+def row_normalize(x):
+    """Each row of a 2-D tensor divided by its Euclidean norm.
+
+    Returns the output and the row norms, so the caller can reject rows too
+    short to have a direction. A zero row comes out as a zero row, without
+    a division by zero.
+    """
+    if x.data.ndim != 2:
+        raise ShapeError("row_normalize", x.shape)
+    norms = np.sqrt(np.sum(x.data * x.data, axis=1))
+    safe = np.where(norms > 0.0, norms, 1.0)
+    # exp(-log n), not 1/n: the two differ in the last bit, and this is the
+    # rounding every recorded checkpoint and loss trace was trained with.
+    inv = np.exp(-np.log(safe))
+    out = Tensor._from_owned(x.data * inv[:, None])
+
+    def bwd(g):
+        g_norm = ((np.sum(g * x.data, axis=1) * inv) * -1.0) / safe
+        return (g * inv[:, None] + (g_norm / safe)[:, None] * x.data,)
+
+    return _record(out, (x,), bwd), norms
+
+
+def dot(u, v):
+    """Inner product of two same-shape tensors (flattened)."""
+    if u.shape != v.shape:
+        raise ShapeError("dot", u.shape, v.shape)
+    out = Tensor._from_owned(np.asarray(float(np.sum(u.data * v.data))))
+
+    def bwd(g):
+        gf = float(g)
+        return (gf * v.data, gf * u.data)
+
+    return _record(out, (u, v), bwd)
+
+
+def _unit_rows(z, label):
+    out, norms = row_normalize(z)
+    bad = np.flatnonzero(norms <= 1e-12)
+    if bad.size:
+        raise DegenerateVectorError(label, int(bad[0]))
+    return out
+
+
+def mnt_xent_chain(batch, tau, ablated=False):
+    """The total contrastive loss as 5 + 19 M tape nodes (full) or 5 + 8 M
+    (ablated). Tape.backward sums fan-in gradients in reverse record order,
+    so the order of the calls below fixes the bytes."""
+    finite = isinstance(tau, numbers.Real) and not isinstance(tau, bool) and math.isfinite(tau)
+    if not (finite and tau > 0):
+        raise ContractError(f"temperature must be a positive finite number, got {tau!r}")
+    t = float(tau)
+    b = batch.batch_size
+    diag_shift = Tensor(np.where(np.eye(b, dtype=bool), -math.inf, 0.0))
+    eye = Tensor(np.eye(b))
+
+    def row_mass(cos):
+        """sum_{j != i} exp(cos(i, j) / tau) for every row i."""
+        return tsum(exp(scale(add(cos, diag_shift), 1.0 / t)), axis=1)
+
+    zc = _unit_rows(batch.complete, "complete")
+    cc_mass = row_mass(matmul(zc, zc, transpose_b=True))
+    total = None
+    for m, z in enumerate(batch.per_modality):
+        zm = _unit_rows(z, f"modality_{m + 1}")
+        cos_mc = matmul(zm, zc, transpose_b=True)
+        if ablated:
+            omega = cc_mass
+        else:
+            mc_mass = row_mass(cos_mc)
+            mm_mass = row_mass(matmul(zm, zm, transpose_b=True))
+            omega = add(add(mc_mass, mm_mass), cc_mass)
+        # sum_i log Omega_m(i) - (1/tau) * sum_i cos(z_m^i, z_c^i)
+        positives = dot(cos_mc, eye)
+        part = add(tsum(log(omega)), scale(positives, -1.0 / t))
+        total = part if total is None else add(total, part)
+    return total
 
 
 def bias_add(a, b):

@@ -1,8 +1,8 @@
 """The fused and flat code paths against the code they replaced, byte for byte.
 
-`dense`, `softmax_cross_entropy`, the flat optimizers, the bulk CSV reader
-and writer and `rng.per_index` each promise the exact bytes of a longer
-path kept in `tests/_oracles.py`. Every comparison here is on `tobytes()`,
+`dense`, `softmax_cross_entropy`, the one-node contrastive loss, the flat
+optimizers, the bulk CSV reader and writer and `rng.per_index` each promise
+the exact bytes of a longer path kept in `tests/_oracles.py`. Every comparison here is on `tobytes()`,
 so a single changed rounding fails.
 """
 
@@ -19,16 +19,18 @@ from _oracles import (
     SgdDict,
     cross_entropy_chain,
     dense_chain,
+    dot,
     mlp_chain,
+    mnt_xent_chain,
     read_matrix_csv_cells,
     write_csv_cells,
 )
 from gmc import rng
 from gmc import tensor as T
 from gmc.downstream import ProbeClassifier, ProbeConfig, cross_entropy
-from gmc.errors import DataError, ShapeError
-from gmc.loss import RepresentationBatch, mnt_xent
-from gmc.model import GmcModel, _Adam, _Sgd, batch_loss
+from gmc.errors import DataError, DegenerateVectorError, ShapeError
+from gmc.loss import RepresentationBatch, mnt_xent, mnt_xent_ablated
+from gmc.model import GmcModel, _Adam, _Sgd, batch_loss, mlp_forward
 from gmc.persist import read_matrix_csv, write_csv
 from gmc.tensor import Tape, Tensor
 
@@ -62,7 +64,7 @@ def test_dense_matches_matmul_add_activation_chain(batch, n_in, n_out, activatio
         xt, wt, bt = Tensor(x, requires_grad=x_grad), Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
         with Tape() as tape:
             out = layer(xt, wt, bt, activation)
-            loss = T.dot(out, upstream)
+            loss = dot(out, upstream)
         tape.backward(loss)
         return [_bytes(a) for a in (out.data, xt.grad, wt.grad, bt.grad)]
 
@@ -94,6 +96,47 @@ def test_cross_entropy_matches_eleven_node_chain(batch, classes, log_scale, seed
     assert run(cross_entropy) == run(cross_entropy_chain)
 
 
+# --- contrastive loss ----------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    modalities=st.integers(1, 4),
+    batch=st.integers(2, 69),
+    width=st.integers(1, 8),
+    log_tau=st.floats(np.log10(1.6e-3), np.log10(30.0)),
+    log_scale=st.floats(-3.0, 3.0),
+    ablated=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_contrastive_node_matches_chain(modalities, batch, width, log_tau, log_scale, ablated, seed, data):
+    gen = np.random.default_rng(seed)
+    mats = [gen.normal(size=(batch, width)) * 10.0**log_scale for _ in range(modalities + 1)]
+    short = []
+    if data.draw(st.integers(0, 3)) == 0:  # a quarter of the cases: rows too short to normalize
+        rows = st.tuples(st.integers(0, modalities), st.integers(0, batch - 1))
+        short = data.draw(st.lists(rows, min_size=1, max_size=2))
+    for pathway, row in short:
+        mats[pathway][row] *= data.draw(st.sampled_from([0.0, -1e-300]))
+    tau = 10.0**log_tau
+    fused = mnt_xent_ablated if ablated else mnt_xent
+
+    def run(loss_fn):
+        ts = [Tensor(a, requires_grad=True) for a in mats]
+        try:
+            with Tape() as tape:
+                loss = loss_fn(RepresentationBatch(ts[:-1], ts[-1]), tau)
+        except DegenerateVectorError as err:
+            return ("degenerate", err.where, err.index)
+        tape.backward(loss)
+        return [_bytes(loss.data)] + [_bytes(t.grad) for t in ts]
+
+    got = run(fused)
+    assert got == run(lambda b, t: mnt_xent_chain(b, t, ablated))
+    assert (got[0] == "degenerate") == bool(short)
+
+
 # --- whole networks --------------------------------------------------------------
 
 
@@ -103,6 +146,8 @@ def _leaf_copies(params):
 
 @pytest.mark.parametrize("batch", [64, 5])
 def test_gmc_step_matches_chain_with_78_nodes(batch):
+    """One default step as 17 nodes, as the 78 of dense layers and the loss
+    chain, and as the 102 of matmul, bias-add and activation chains."""
     gen = np.random.default_rng(batch)
     model = GmcModel.build((20, 16, 12), seed=4)
     xs = [gen.normal(size=(batch, d)) for d in (20, 16, 12)]
@@ -110,21 +155,22 @@ def test_gmc_step_matches_chain_with_78_nodes(batch):
     with Tape() as tape:
         loss = batch_loss(model, xs, xc, 0.1)
     tape.backward(loss)
-    assert len(tape) == 78
+    assert len(tape) == 17
 
-    old = _leaf_copies(model.parameters())
-    with Tape() as old_tape:
-        zs = [
-            mlp_chain(model.head_spec, old, "head", mlp_chain(model.base_specs[m], old, f"enc{m}", Tensor(x)))
-            for m, x in enumerate(xs)
-        ]
-        zc = mlp_chain(model.head_spec, old, "head", mlp_chain(model.base_specs[-1], old, "enc_complete", Tensor(xc)))
-        old_loss = mnt_xent(RepresentationBatch(zs, zc), 0.1)
-    old_tape.backward(old_loss)
-    assert len(old_tape) == 102
-    assert loss.data.tobytes() == old_loss.data.tobytes()
-    for name, p in model.parameters().items():
-        assert _bytes(p.grad) == _bytes(old[name].grad), name
+    for mlp, nodes in ((mlp_forward, 78), (mlp_chain, 102)):
+        old = _leaf_copies(model.parameters())
+        with Tape() as old_tape:
+            zs = [
+                mlp(model.head_spec, old, "head", mlp(model.base_specs[m], old, f"enc{m}", Tensor(x)))
+                for m, x in enumerate(xs)
+            ]
+            zc = mlp(model.head_spec, old, "head", mlp(model.base_specs[-1], old, "enc_complete", Tensor(xc)))
+            old_loss = mnt_xent_chain(RepresentationBatch(zs, zc), 0.1)
+        old_tape.backward(old_loss)
+        assert len(old_tape) == nodes
+        assert loss.data.tobytes() == old_loss.data.tobytes()
+        for name, p in model.parameters().items():
+            assert _bytes(p.grad) == _bytes(old[name].grad), (nodes, name)
 
 
 def test_probe_step_matches_chain_with_4_nodes():

@@ -363,6 +363,16 @@ class TestEvalDca:
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "overflow" in err
 
+    @pytest.mark.parametrize("side", ["reference", "evaluation"])
+    def test_header_only_embeddings_are_a_data_error(self, embeddings, tmp_path, capsys, side):
+        ref, ev = embeddings
+        (tmp_path / "empty.csv").write_text(ref.read_text().splitlines()[0] + "\n")
+        paths = {"reference": str(ref), "evaluation": str(ev), side: str(tmp_path / "empty.csv")}
+        code = main(["eval-dca", "--reference", paths["reference"], "--evaluation", paths["evaluation"], "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "no rows" in err and "empty.csv" in err
+
     def test_width_mismatch_rejected(self, embeddings, tmp_path):
         ref, _ = embeddings
         (tmp_path / "narrow.csv").write_text("z0,z1\n0.0,0.0\n1.0,1.0\n")
@@ -428,6 +438,48 @@ class TestEvalProbe:
         )
         assert code == 2
         assert "hidden_layers" in capsys.readouterr().err
+
+
+class TestLabels:
+    """labels.csv holds a non-negative integer label and a 0/1 train flag
+    per sample, and leaves at least one train and one test sample."""
+
+    @pytest.mark.parametrize(
+        "column, value, rows, message",
+        [
+            (1, "1", "all", "empty train or test set"),
+            (1, "0", "all", "empty train or test set"),
+            (1, "2", "first", "is_train 2 in data row 1 is not 0 or 1"),
+            (0, "1.5", "first", "label 1.5 in data row 1 is not a non-negative integer"),
+            (0, "-1", "first", "label -1 in data row 1 is not a non-negative integer"),
+        ],
+        ids=["all-train", "all-test", "flag-2", "label-1.5", "label-negative"],
+    )
+    def test_bad_labels_are_a_data_error(self, workdir, tmp_path, capsys, column, value, rows, message):
+        shutil.copytree(workdir / "data", tmp_path / "d")
+        path = tmp_path / "d" / "labels.csv"
+        header, *lines = path.read_text().splitlines()
+        cells = [line.split(",") for line in lines]
+        for row in cells if rows == "all" else cells[:1]:
+            row[column] = value
+        path.write_text("\n".join([header] + [",".join(row) for row in cells]) + "\n")
+        cfg = write_json(tmp_path / "p.json", {"epochs": 1})
+        code = main(
+            [
+                "eval-probe",
+                "--checkpoint",
+                str(workdir / "run" / "checkpoint.gmc"),
+                "--dataset",
+                str(tmp_path / "d"),
+                "--config",
+                cfg,
+                "--out",
+                str(tmp_path / "p"),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and message in err
 
 
 class TestSweep:

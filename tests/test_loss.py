@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from _oracles import cos_loops, mnt_xent_ablated_loops, mnt_xent_loops
 from gmc import loss as L
 from gmc import tensor as T
-from gmc.errors import ContractError, DegenerateVectorError, ShapeError
+from gmc.errors import ContractError, DegenerateVectorError, DomainError, ShapeError
 from gmc.tensor import Tape, Tensor
 
 
@@ -291,3 +291,12 @@ def test_degenerate_row_raises_in_both_paths():
         L.mnt_xent_ablated(L.RepresentationBatch([Tensor(np.ones((3, 4)))], Tensor(z)), 0.1)
     assert info.value.where == "complete"
     assert info.value.index == 1
+
+
+def test_vanishing_negative_mass_is_a_domain_error():
+    # every negative cosine is -1, so at tau = 1e-3 each exp(-1000) underflows
+    # to zero and Omega(i) = 0 in both variants
+    z = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    for loss in (L.mnt_xent, L.mnt_xent_ablated):
+        with pytest.raises(DomainError, match=r"^log: non-positive input \(min 0\.0\)$"):
+            loss(L.RepresentationBatch([Tensor(z)], Tensor(z.copy())), 1e-3)

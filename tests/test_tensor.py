@@ -1,3 +1,11 @@
+"""The tape engine and its two primitives, `dense` and `softmax_cross_entropy`.
+
+The tests that name `matmul`, `add`, `scale`, `exp`, `log`, `sum`, `dot` or
+`row_normalize` check the tape primitives in `tests/_oracles.py`. They make
+up the chain that the one-node contrastive loss must match byte for byte,
+so that reference is itself held to scalar loops and central differences.
+"""
+
 import math
 import threading
 
@@ -6,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import add, dot, exp, log, matmul, row_normalize, scale, tsum
 from gmc import tensor as T
 from gmc.errors import ContractError, DomainError, ShapeError
+from gmc.loss import RepresentationBatch, mnt_xent
 from gmc.tensor import Tape, Tensor, grad_check
 
 
@@ -19,16 +29,24 @@ def loop_dot(u, v):
     return acc
 
 
+def _total(h: Tensor) -> Tensor:
+    """The sum of a 2-D tensor's entries as a (1, 1) tensor, through two
+    `dense` nodes with all-ones weights."""
+    b, n = h.shape
+    col_sums = T.dense(Tensor(np.ones((1, b))), h, Tensor(np.zeros(n)))
+    return T.dense(col_sums, Tensor(np.ones((n, 1))), Tensor(np.zeros(1)))
+
+
 def test_dot_matches_scalar_loop():
     u, v = [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]
-    out = T.dot(Tensor(u), Tensor(v))
+    out = dot(Tensor(u), Tensor(v))
     assert out.item() == loop_dot(u, v) == 32.0
 
 
 def test_matmul_identity_roundtrip():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(3, 5))
-    out = T.matmul(Tensor(np.eye(3)), Tensor(a))
+    out = matmul(Tensor(np.eye(3)), Tensor(a))
     assert np.array_equal(out.data, a)
 
 
@@ -37,7 +55,7 @@ def test_matmul_transpose_flags(ta, tb):
     rng = np.random.default_rng(11)
     a = rng.normal(size=(4, 3) if ta else (3, 4))
     b = rng.normal(size=(5, 4) if tb else (4, 5))
-    out = T.matmul(Tensor(a), Tensor(b), transpose_a=ta, transpose_b=tb)
+    out = matmul(Tensor(a), Tensor(b), transpose_a=ta, transpose_b=tb)
     expect = (a.T if ta else a) @ (b.T if tb else b)
     assert np.allclose(out.data, expect, atol=0, rtol=0)
 
@@ -55,7 +73,7 @@ def test_swish_at_zero_is_zero():
 def test_relu_subgradient_at_zero_is_zero():
     x = Tensor([[0.0, -1.0, 2.0]], requires_grad=True)
     with Tape() as tape:
-        y = T.sum(_identity_layer(x, "relu"))
+        y = _total(_identity_layer(x, "relu"))
     tape.backward(y)
     assert np.array_equal(x.grad, [[0.0, 0.0, 1.0]])
 
@@ -63,7 +81,7 @@ def test_relu_subgradient_at_zero_is_zero():
 def test_backward_of_sum_is_ones():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     with Tape() as tape:
-        y = T.sum(x)
+        y = tsum(x)
     tape.backward(y)
     assert np.array_equal(x.grad, np.ones((2, 3)))
 
@@ -71,29 +89,32 @@ def test_backward_of_sum_is_ones():
 def test_dot_self_gradient():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with Tape() as tape:
-        y = T.dot(x, x)
+        y = dot(x, x)
     tape.backward(y)
     assert np.array_equal(x.grad, [2.0, 4.0])
 
 
 def test_fanout_gradients_accumulate():
-    x = Tensor([3.0], requires_grad=True)
+    # x enters the first node twice (input and weight) and the second once
+    # more: y = (x * x) * x, so dy/dx = 3x^2.
+    x = Tensor([[3.0]], requires_grad=True)
+    zero = Tensor([0.0])
     with Tape() as tape:
-        y = T.sum(T.add(x, x))
+        y = T.dense(T.dense(x, x, zero), x, zero)
     tape.backward(y)
-    assert np.array_equal(x.grad, [2.0])
+    assert np.array_equal(x.grad, [[27.0]])
     # A second backward adds on top instead of resetting.
     with Tape() as tape:
-        y = T.sum(T.scale(x, 1.0))
+        y = T.dense(x, Tensor([[1.0]]), zero)
     tape.backward(y)
-    assert np.array_equal(x.grad, [3.0])
+    assert np.array_equal(x.grad, [[28.0]])
 
 
 def test_bias_add_gradient_sums_rows():
     x = Tensor(np.ones((4, 3)), requires_grad=True)
     b = Tensor([1.0, 2.0, 3.0], requires_grad=True)
     with Tape() as tape:
-        y = T.sum(T.dense(x, Tensor(np.eye(3)), b))
+        y = _total(T.dense(x, Tensor(np.eye(3)), b))
     tape.backward(y)
     assert np.array_equal(b.grad, [4.0, 4.0, 4.0])
     assert np.array_equal(x.grad, np.ones((4, 3)))
@@ -102,7 +123,7 @@ def test_bias_add_gradient_sums_rows():
 def test_dense_skips_input_gradient_it_does_not_need():
     w = Tensor(np.ones((3, 2)), requires_grad=True)
     with Tape() as tape:
-        y = T.sum(T.dense(Tensor(np.ones((4, 3))), w, Tensor(np.zeros(2)), "relu"))
+        y = _total(T.dense(Tensor(np.ones((4, 3))), w, Tensor(np.zeros(2)), "relu"))
     gx, gw, gb = tape._nodes[0].bwd(np.ones((4, 2)))
     assert gx is None and gw.shape == (3, 2) and gb.shape == (2,)
     tape.backward(y)
@@ -113,22 +134,24 @@ def test_grad_check_sum_is_at_rounding_noise():
     # In exact arithmetic the error would be 0; in float64 the central
     # difference of a sum rounds at roughly ulp(x)/step, around 1e-10.
     x = Tensor(np.random.default_rng(0).normal(size=(3, 2)))
-    assert grad_check(lambda t: T.sum(t), x) < 1e-9
+    assert grad_check(_total, x) < 1e-9
 
 
 _SCALAR_CASES = {
-    "matmul": lambda t: T.sum(T.matmul(t, Tensor(np.linspace(-1, 1, 12).reshape(4, 3)))),
-    "matmul_t": lambda t: T.sum(T.matmul(t, Tensor(np.linspace(-2, 1, 12).reshape(3, 4)), transpose_b=True)),
-    "add": lambda t: T.sum(T.add(t, Tensor(np.ones((3, 4))))),
-    "bias": lambda t: T.sum(T.dense(Tensor(np.ones((5, 2))), Tensor(np.ones((2, 4))), T.sum(t, axis=0))),
-    "scale": lambda t: T.sum(T.scale(t, -1.7)),
-    "relu": lambda t: T.sum(_identity_layer(t, "relu")),
-    "swish": lambda t: T.sum(_identity_layer(t, "swish")),
-    "dense_w": lambda t: T.sum(T.dense(Tensor(np.linspace(-1, 1, 6).reshape(2, 3)), t, Tensor(np.ones(4)), "swish")),
-    "exp": lambda t: T.sum(T.exp(t)),
-    "sum_axis": lambda t: T.sum(T.scale(T.sum(t, axis=0), 0.5)),
-    "dot": lambda t: T.dot(t, Tensor(np.linspace(1, 2, 12).reshape(3, 4))),
-    "row_normalize": lambda t: T.dot(T.row_normalize(t)[0], Tensor(np.linspace(-1, 2, 12).reshape(3, 4))),
+    "matmul": lambda t: tsum(matmul(t, Tensor(np.linspace(-1, 1, 12).reshape(4, 3)))),
+    "matmul_t": lambda t: tsum(matmul(t, Tensor(np.linspace(-2, 1, 12).reshape(3, 4)), transpose_b=True)),
+    "add": lambda t: tsum(add(t, Tensor(np.ones((3, 4))))),
+    "bias": lambda t: _total(T.dense(Tensor(np.ones((5, 2))), Tensor(np.ones((2, 4))), tsum(t, axis=0))),
+    "scale": lambda t: tsum(scale(t, -1.7)),
+    "relu": lambda t: _total(_identity_layer(t, "relu")),
+    "swish": lambda t: _total(_identity_layer(t, "swish")),
+    "dense_w": lambda t: _total(T.dense(Tensor(np.linspace(-1, 1, 6).reshape(2, 3)), t, Tensor(np.ones(4)), "swish")),
+    "exp": lambda t: tsum(exp(t)),
+    "sum_axis": lambda t: tsum(scale(tsum(t, axis=0), 0.5)),
+    "dot": lambda t: dot(t, Tensor(np.linspace(1, 2, 12).reshape(3, 4))),
+    "row_normalize": lambda t: dot(row_normalize(t)[0], Tensor(np.linspace(-1, 2, 12).reshape(3, 4))),
+    "softmax_cross_entropy": lambda t: T.softmax_cross_entropy(t, np.eye(4)[[2, 0, 3]]),
+    "contrastive": lambda t: mnt_xent(RepresentationBatch([t], Tensor(np.linspace(-1, 2, 12).reshape(3, 4))), 0.5),
 }
 
 
@@ -145,44 +168,48 @@ def test_primitive_gradients_match_central_differences(name, seed):
 
 def test_log_gradient_on_positive_inputs():
     x = np.abs(np.random.default_rng(3).normal(size=(2, 5))) + 0.5
-    err = grad_check(lambda t: T.sum(T.log(t)), Tensor(x))
+    err = grad_check(lambda t: tsum(log(t)), Tensor(x))
     assert err < 1e-6
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(-3, 3), min_size=2, max_size=6))
 def test_swish_gradient_anywhere(values):
-    err = grad_check(lambda t: T.sum(_identity_layer(t, "swish")), Tensor([values]))
+    err = grad_check(lambda t: _total(_identity_layer(t, "swish")), Tensor([values]))
     assert err < 1e-5
 
 
 def test_shape_error_names_primitive_and_shapes():
     with pytest.raises(ShapeError) as info:
-        T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
-    assert "matmul" in str(info.value)
+        T.dense(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
+    assert "dense" in str(info.value)
     assert "(2, 3)" in str(info.value)
-    with pytest.raises(ShapeError):
-        T.add(Tensor(np.ones((2, 2))), Tensor(np.ones((3, 2))))
-    with pytest.raises(ShapeError):
-        T.dot(Tensor([1.0]), Tensor([1.0, 2.0]))
-    with pytest.raises(ShapeError):
-        T.row_normalize(Tensor([3.0, 4.0]))
     with pytest.raises(ShapeError, match="dense"):
         T.dense(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
+    with pytest.raises(ShapeError, match="softmax_cross_entropy"):
+        T.softmax_cross_entropy(Tensor(np.ones((2, 3))), np.eye(3))
+    with pytest.raises(ShapeError, match="matmul"):
+        matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+    with pytest.raises(ShapeError):
+        add(Tensor(np.ones((2, 2))), Tensor(np.ones((3, 2))))
+    with pytest.raises(ShapeError):
+        dot(Tensor([1.0]), Tensor([1.0, 2.0]))
+    with pytest.raises(ShapeError):
+        row_normalize(Tensor([3.0, 4.0]))
 
 
 def test_log_rejects_non_positive_input():
     with pytest.raises(DomainError):
-        T.log(Tensor([1.0, 0.0]))
+        log(Tensor([1.0, 0.0]))
 
 
 def test_backward_contract_checks():
-    x = Tensor(np.ones(3), requires_grad=True)
+    x = Tensor(np.ones((1, 3)), requires_grad=True)
     with Tape() as tape:
-        y = T.scale(x, 2.0)
+        y = T.dense(x, Tensor(np.eye(3)), Tensor(np.zeros(3)))
     with pytest.raises(ContractError):
         tape.backward(y)  # not scalar
-    loose = T.sum(Tensor(np.ones(2), requires_grad=True))
+    loose = _total(Tensor(np.ones((1, 2)), requires_grad=True))
     with pytest.raises(ContractError):
         tape.backward(loose)  # produced outside this tape
 
@@ -193,7 +220,7 @@ def test_forward_identical_with_and_without_gradients():
     w = rng.normal(size=(3, 2))
 
     def pipeline(xt, wt):
-        return T.sum(T.dense(xt, wt, Tensor(np.zeros(2)), "swish"))
+        return _total(T.dense(xt, wt, Tensor(np.zeros(2)), "swish"))
 
     plain = pipeline(Tensor(x), Tensor(w))
     with Tape():
@@ -216,7 +243,7 @@ def test_tapes_are_independent_across_threads():
         bias = Tensor(np.linspace(-1, 1, 8))
         for _ in range(20):
             with Tape() as tape:
-                y = T.sum(T.dense(x, x, bias, "swish"))
+                y = _total(T.dense(x, x, bias, "swish"))
             x.grad = None
             tape.backward(y)
             results[(tag, "grad")] = x.grad.copy()
@@ -230,14 +257,15 @@ def test_tapes_are_independent_across_threads():
     for i in range(4):
         x = results[(i, "x")]
         expect = grad_check(
-            lambda t: T.sum(T.dense(t, t, Tensor(np.linspace(-1, 1, 8)), "swish")), Tensor(x.data)
+            lambda t: _total(T.dense(t, t, Tensor(np.linspace(-1, 1, 8)), "swish")), Tensor(x.data)
         )
         assert expect < 1e-5
         assert np.all(np.isfinite(results[(i, "grad")]))
 
 
 def test_grad_check_reports_non_finite_as_inf():
-    x = Tensor([700.0, 710.0])
-    with np.errstate(over="ignore"):
-        err = grad_check(lambda t: T.sum(T.exp(T.scale(t, 2.0))), x)
+    x = Tensor([[700.0, 710.0]])
+    w = Tensor([[1e306], [1e306]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = grad_check(lambda t: _total(T.dense(t, w, Tensor([0.0]))), x)
     assert err == math.inf
