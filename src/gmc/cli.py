@@ -69,6 +69,8 @@ def _load_json_config(path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise ConfigError(str(path), f"cannot read config file: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ConfigError(str(path), f"not UTF-8 text: {err}") from err
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as err:
@@ -251,7 +253,7 @@ def cmd_encode(args) -> None:
     z = model.encode_pathway(pathway, x).data
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "embeddings.csv", [f"z{j}" for j in range(z.shape[1])], z)
+    written = write_csv(out / "embeddings.csv", [f"z{j}" for j in range(z.shape[1])], z)
     write_manifest(
         out / "manifest.json",
         "encode",
@@ -260,7 +262,7 @@ def cmd_encode(args) -> None:
             "checkpoint": hash_entry(args.checkpoint),
             "dataset": _dataset_input_hashes(args.dataset, model.modality_count),
         },
-        outputs={"embeddings.csv": hash_entry(out / "embeddings.csv")},
+        outputs={path.name: hash_entry(path) for path in written},
     )
     print(f"encoded {z.shape[0]} samples ({args.split} split, pathway {args.pathway})")
 

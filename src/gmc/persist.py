@@ -1,10 +1,17 @@
-"""On-disk formats: checkpoints, CSV tables, manifests, dataset directories.
+"""On-disk formats: checkpoints, CSV tables and their binary twins,
+manifests, dataset directories.
 
 Everything written here is deterministic for a given input: no timestamps,
 no environment-dependent paths, floats always at 17 significant digits so a
-reader can reconstruct the exact double. Checkpoints are the one binary
-format; a 4-byte magic, a JSON shape header, then raw little-endian float64
-parameter blocks in declaration order.
+reader can reconstruct the exact double. There are two binary formats:
+
+- a checkpoint: a 4-byte magic, a JSON shape header, then raw little-endian
+  float64 parameter blocks in declaration order;
+- the twin `<name>.csv.f64` of a float64 matrix CSV: a 4-byte magic, the
+  sha256 of the CSV bytes, the sha256 of the payload, the row and column
+  counts, then the matrix as raw little-endian float64. A reader trusts the
+  twin only while the CSV it sits beside still hashes to the recorded value,
+  so an edited CSV is simply parsed again; the CSV stays the artifact.
 """
 
 from __future__ import annotations
@@ -23,6 +30,9 @@ from .synthdata import MultimodalDataset
 
 CHECKPOINT_MAGIC = b"GMC1"
 CHECKPOINT_VERSION = 1
+TWIN_MAGIC = b"GMCM"
+# magic, sha256 of the CSV bytes, sha256 of the payload, rows, columns
+_TWIN_HEADER = struct.Struct("<4s32s32sQQ")
 
 
 def format_float(x: float) -> str:
@@ -125,16 +135,72 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_csv(path, header: list[str], rows) -> None:
-    """Header line plus one line per row. A 2-D float64 array is formatted
-    in bulk: "%.17g" is the same conversion as `format_float`."""
+def twin_path(path) -> Path:
+    """Where the binary twin of the CSV at `path` lives."""
+    return Path(f"{path}.f64")
+
+
+def write_csv(path, header: list[str], rows) -> list[Path]:
+    """Header line plus one line per row; returns the paths written.
+
+    A 2-D float64 array is formatted in bulk ("%.17g" is the same conversion
+    as `format_float`) and, if it has a row, also written to its twin, which
+    holds exactly the array a parse of the CSV returns.
+    """
     lines = [",".join(header)]
-    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
+    matrix = isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64
+    if matrix:
         fmt = ",".join(["%.17g"] * rows.shape[1])
         lines.extend(fmt % tuple(row) for row in rows.tolist())
     else:
         lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path = Path(path)
+    blob = ("\n".join(lines) + "\n").encode("utf-8")
+    path.write_bytes(blob)
+    if not (matrix and rows.shape[0]):
+        return [path]
+    payload = rows.astype("<f8", order="C", copy=False).tobytes()
+    twin = twin_path(path)
+    twin.write_bytes(
+        _TWIN_HEADER.pack(
+            TWIN_MAGIC, hashlib.sha256(blob).digest(), hashlib.sha256(payload).digest(), *rows.shape
+        )
+        + payload
+    )
+    return [path, twin]
+
+
+def _read_twin(path, raw: bytes) -> tuple[list[str], np.ndarray] | None:
+    """(header, matrix) from the twin of the CSV whose bytes are `raw`, or
+    None unless the twin is well-formed, was written with exactly these CSV
+    bytes, its payload hash checks, its width equals the header's field count
+    and every value is finite. The header comes from the CSV's first line,
+    which must be non-empty and hold no carriage return, and the CSV must
+    hold one line per row after it, so that a header name holding a line
+    break cannot make the header read otherwise than the parse reads it."""
+    try:
+        blob = twin_path(path).read_bytes()
+    except OSError:
+        return None
+    if len(blob) < _TWIN_HEADER.size:
+        return None
+    magic, csv_digest, payload_digest, n_rows, n_cols = _TWIN_HEADER.unpack_from(blob)
+    payload = memoryview(blob)[_TWIN_HEADER.size :]
+    if magic != TWIN_MAGIC or n_rows < 1 or len(payload) != 8 * n_rows * n_cols:
+        return None
+    end = raw.find(b"\n")
+    if end < 1 or b"\r" in raw[:end] or raw.count(b"\n") != n_rows + 1:
+        return None
+    try:
+        header = raw[:end].decode("utf-8").split(",")
+    except UnicodeDecodeError:
+        return None
+    if n_cols != len(header):
+        return None
+    if csv_digest != hashlib.sha256(raw).digest() or payload_digest != hashlib.sha256(payload).digest():
+        return None
+    data = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(n_rows, n_cols)
+    return (header, data) if np.all(np.isfinite(data)) else None
 
 
 def _reject_rows(path, header: list[str], rows: list[str], parse_error: str):
@@ -158,9 +224,19 @@ def read_matrix_csv(path) -> tuple[list[str], np.ndarray]:
     """Read a numeric CSV written by write_csv: header plus float rows.
 
     Every data line must hold one decimal number per header field: a blank
-    line, a `#` or any other text is an error, never skipped.
+    line, a `#` or any other text is an error, never skipped. A trusted twin
+    (see `_read_twin`) gives the same result without parsing; otherwise the
+    text is read with universal newlines, as a text-mode file reads it.
     """
-    text = Path(path).read_text(encoding="utf-8").strip("\n")
+    raw = Path(path).read_bytes()
+    twin = _read_twin(path, raw)
+    if twin is not None:
+        return twin
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise DataError(f"CSV is not UTF-8 text: {path} ({err})") from err
+    text = text.replace("\r\n", "\n").replace("\r", "\n").strip("\n")
     lines = text.split("\n")
     if not lines or not lines[0]:
         raise DataError(f"empty CSV: {path}")
@@ -211,21 +287,19 @@ def modality_filename(m: int) -> str:
 
 
 def save_dataset(out_dir, dataset: MultimodalDataset) -> list[str]:
-    """One CSV per modality plus labels.csv; returns the filenames written."""
+    """One CSV (and its twin) per modality plus labels.csv; returns the
+    filenames written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for m, x in enumerate(dataset.modalities):
-        name = modality_filename(m)
-        write_csv(out / name, [f"x{j}" for j in range(x.shape[1])], x)
-        written.append(name)
-    write_csv(
+        written += write_csv(out / modality_filename(m), [f"x{j}" for j in range(x.shape[1])], x)
+    written += write_csv(
         out / "labels.csv",
         ["label", "is_train"],
         zip(dataset.labels, dataset.is_train),
     )
-    written.append("labels.csv")
-    return written
+    return [p.name for p in written]
 
 
 def load_dataset(dataset_dir) -> MultimodalDataset:

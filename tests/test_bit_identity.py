@@ -1,8 +1,9 @@
 """The fused and flat code paths against the code they replaced, byte for byte.
 
 `dense`, `softmax_cross_entropy`, the one-node contrastive loss, the flat
-optimizers, the bulk CSV reader and writer and `rng.per_index` each promise
-the exact bytes of a longer path kept in `tests/_oracles.py`. Every comparison here is on `tobytes()`,
+optimizers, the bulk CSV reader and writer, the binary CSV twin and
+`rng.per_index` each promise the exact bytes of a longer path kept in
+`tests/_oracles.py`. Every comparison here is on `tobytes()`,
 so a single changed rounding fails.
 """
 
@@ -31,7 +32,7 @@ from gmc.downstream import ProbeClassifier, ProbeConfig, cross_entropy
 from gmc.errors import DataError, DegenerateVectorError, ShapeError
 from gmc.loss import RepresentationBatch, mnt_xent, mnt_xent_ablated
 from gmc.model import GmcModel, _Adam, _Sgd, batch_loss, mlp_forward
-from gmc.persist import read_matrix_csv, write_csv
+from gmc.persist import _read_twin, read_matrix_csv, twin_path, write_csv
 from gmc.tensor import Tape, Tensor
 
 
@@ -295,6 +296,42 @@ def test_bulk_reader_matches_cell_reader(header, lines, trailing):
         path = Path(tmp) / "m.csv"
         path.write_text(text, encoding="utf-8")
         assert _outcome(read_matrix_csv, path) == _outcome(read_matrix_csv_cells, path)
+
+
+_finite_specials = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308, 1.7976931348623157e308]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(0, 7),
+    cols=st.integers(1, 5),
+    non_finite=st.booleans(),
+    data=st.data(),
+)
+def test_twin_matches_parse_and_cell_reader(rows, cols, non_finite, data):
+    """write_csv, then read with the twin, without it and cell by cell: the
+    same header, shape and bytes, or the same error. Only a twin of finite
+    values with a row is trusted; a 0-row array gets no twin."""
+    cells = st.floats(allow_nan=False, allow_infinity=False, width=64) | _finite_specials
+    if non_finite:
+        cells = cells | st.sampled_from([np.inf, -np.inf, np.nan])
+    mat = np.array(data.draw(st.lists(cells, min_size=rows * cols, max_size=rows * cols)), dtype=np.float64)
+    mat = mat.reshape(rows, cols)
+    header = [f"c{j}" for j in range(cols)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        written = write_csv(path, header, mat)
+        assert written == ([path, twin_path(path)] if rows else [path])
+        trusted = _read_twin(path, path.read_bytes()) is not None
+        assert trusted == (rows > 0 and bool(np.all(np.isfinite(mat))))
+        with_twin = _outcome(read_matrix_csv, path)
+        if rows:
+            twin_path(path).unlink()
+        assert with_twin == _outcome(read_matrix_csv, path) == _outcome(read_matrix_csv_cells, path)
+        if trusted:
+            assert with_twin == (header, mat.shape, mat.tobytes())
 
 
 @pytest.mark.parametrize(

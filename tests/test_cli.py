@@ -534,6 +534,62 @@ class TestSweep:
         assert code == 2
 
 
+class TestTwins:
+    def test_manifests_list_the_twins(self, workdir, tmp_path):
+        data = json.loads((workdir / "data" / "manifest.json").read_text())["outputs"]
+        assert sorted(data) == ["labels.csv", "modality_1.csv", "modality_1.csv.f64", "modality_2.csv", "modality_2.csv.f64"]
+        assert run_encode(workdir, "1", "test", tmp_path / "e") == 0
+        emb = json.loads((tmp_path / "e" / "manifest.json").read_text())["outputs"]
+        assert sorted(emb) == ["embeddings.csv", "embeddings.csv.f64"]
+        for root, outputs in ((workdir / "data", data), (tmp_path / "e", emb)):
+            for name, entry in outputs.items():
+                assert entry["path"] == str(root / name)
+                assert sha256_file(root / name) == entry["sha256"]
+
+    def test_artifacts_do_not_depend_on_the_twins(self, workdir, tmp_path, monkeypatch):
+        """train, encode, eval-dca, eval-probe and sweep write the same bytes
+        whether every matrix CSV they read has its twin or none has."""
+        monkeypatch.setenv("GMC_THREADS", "1")
+        sweep = {**TRAIN, "epochs": 1, "tau": [0.2]}
+
+        def chain(world, twins):
+            shutil.copytree(workdir / "data", world / "data")
+            write_json(world / "train.json", TRAIN)
+            write_json(world / "probe.json", {"epochs": 3, "hidden": [8]})
+            write_json(world / "sweep.json", sweep)
+
+            def strip():
+                if not twins:
+                    for twin in list(world.rglob("*.f64")):
+                        twin.unlink()
+
+            monkeypatch.chdir(world)
+            ckpt = ["--checkpoint", "run/checkpoint.gmc", "--dataset", "data"]
+            for argv in (
+                ["train", "--config", "train.json", "--dataset", "data", "--out", "run"],
+                ["encode", *ckpt, "--pathway", "complete", "--split", "test", "--out", "ref"],
+                ["encode", *ckpt, "--pathway", "2", "--split", "test", "--out", "ev"],
+                ["eval-dca", "--reference", "ref/embeddings.csv", "--evaluation", "ev/embeddings.csv", "--out", "dca"],
+                ["eval-probe", *ckpt, "--config", "probe.json", "--out", "probe"],
+                ["sweep", "--config", "sweep.json", "--dataset", "data", "--out", "sweep"],
+            ):
+                strip()
+                assert main(argv) == 0, argv
+            return {
+                str(path.relative_to(world)): path.read_bytes()
+                for path in sorted(world.rglob("*"))
+                if path.is_file() and path.name != "manifest.json" and path.suffix != ".f64"
+            }
+
+        assert (workdir / "data" / "modality_1.csv.f64").exists()
+        with_twins = chain(tmp_path / "with", twins=True)
+        without = chain(tmp_path / "without", twins=False)
+        assert sorted(with_twins) == sorted(without)
+        assert "dca/report.json" in with_twins and "sweep/aggregate.csv" in with_twins
+        for name, blob in with_twins.items():
+            assert blob == without[name], name
+
+
 class TestReproducibility:
     def test_train_encode_eval_chain_is_byte_identical(self, tmp_path, monkeypatch):
         """Same commands, same relative paths, two working directories."""

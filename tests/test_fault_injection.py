@@ -1,11 +1,13 @@
-"""Corrupted inputs end in exit 2, 3 or 4 with one `error:` line, never a traceback.
+"""Corrupted inputs end in one `error:` line, never a traceback: exit 2 for a
+config, exit 3 for a CSV or a checkpoint.
 
 Hypothesis corrupts configs, dataset and embedding CSVs, and checkpoints, and
 runs the command that reads them through `gmc.cli.main` in-process, so an
 exception that escapes `main` fails the test with its own traceback. Every
 corruption is chosen so that no valid reading of the file exists: a
 truncation ends a row early, a flipped header byte is not UTF-8, and so on.
-The inputs come from a 40-sample data set and a 1-epoch checkpoint.
+The inputs come from a 40-sample data set with its matrix twins and a
+1-epoch checkpoint, so every corrupted dataset CSV also leaves a stale twin.
 """
 
 import contextlib
@@ -43,12 +45,12 @@ def inputs(tmp_path_factory):
     return root
 
 
-def run_expecting_error(argv):
+def run_expecting_error(argv, expected: int):
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     lines = err.getvalue().splitlines()
-    assert code in (2, 3, 4), (code, lines)
+    assert code == expected, (code, lines)
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
@@ -91,12 +93,20 @@ CONFIG_KEYS = {"gen-data": _SYNTH_KEYS, "train": _TRAIN_KEYS, "eval-probe": _PRO
 WRONG_VALUES = ["x", {"k": 1}, None, math.nan, math.inf, -math.inf, [["x"]], -1.5]
 
 
+def not_utf8(blob, chooser):
+    """`blob` with 0xff, or 0xfe 0xff, put in or after it: bytes that never
+    occur in UTF-8 text."""
+    at = chooser.choice([len(blob), chooser.randrange(len(blob))])
+    return blob[:at] + chooser.choice([b"\xff", b"\xfe\xff"]) + blob[at:]
+
+
 @settings(FAST, max_examples=100)
 @given(
     kind=st.sampled_from(sorted(CONFIG_KEYS)),
-    fault=st.sampled_from(["wrong_value", "unknown_key", "model_value", "truncated"]),
+    fault=st.sampled_from(["wrong_value", "unknown_key", "model_value", "truncated", "not_utf8"]),
     pick=st.integers(0, 2**32 - 1),
 )
+@example(kind="train", fault="not_utf8", pick=0)
 def test_corrupted_config_is_rejected(inputs, kind, fault, pick):
     chooser = random.Random(pick)
     with workspace(inputs, kind) as work:
@@ -112,8 +122,9 @@ def test_corrupted_config_is_rejected(inputs, kind, fault, pick):
         text = json.dumps(config)
         if fault == "truncated":
             text = text[: chooser.randrange(len(text) - 1)]
-        (work / "config.json").write_text(text)
-        run_expecting_error(command(kind, work))
+        blob = text.encode()
+        (work / "config.json").write_bytes(not_utf8(blob, chooser) if fault == "not_utf8" else blob)
+        run_expecting_error(command(kind, work), 2)
 
 
 # --- CSVs ------------------------------------------------------------------------
@@ -123,6 +134,9 @@ DATASET_FILES = ["modality_1.csv", "modality_2.csv", "labels.csv"]
 
 def corrupt_csv(path, fault, chooser, partner):
     """Rewrite the CSV at `path` so that no valid reading is left."""
+    if fault == "not_utf8":
+        path.write_bytes(not_utf8(path.read_bytes(), chooser))
+        return
     lines = path.read_text().splitlines()
     row = chooser.randrange(1, len(lines))
     cells = lines[row].split(",")
@@ -156,7 +170,7 @@ def corrupt_csv(path, fault, chooser, partner):
     path.write_text("\n".join(lines) + "\n")
 
 
-CSV_FAULTS = ["truncated", "ragged", "header_only", "non_finite"]
+CSV_FAULTS = ["truncated", "ragged", "header_only", "non_finite", "not_utf8"]
 LABEL_FAULTS = ["bad_label", "bad_split_flag", "one_split"]
 
 
@@ -168,6 +182,8 @@ LABEL_FAULTS = ["bad_label", "bad_split_flag", "one_split"]
     pick=st.integers(0, 2**32 - 1),
 )
 @example(target="evaluation.csv", fault="header_only", kind="train", pick=0)
+@example(target="reference.csv", fault="not_utf8", kind="train", pick=0)
+@example(target="modality_2.csv", fault="not_utf8", kind="encode", pick=0)
 @example(target="reference.csv", fault="header_only", kind="train", pick=0)
 @example(target="labels.csv", fault="one_split", kind="eval-probe", pick=0)
 @example(target="labels.csv", fault="one_split", kind="eval-probe", pick=1)
@@ -186,7 +202,7 @@ def test_corrupted_csv_is_rejected(inputs, target, fault, kind, pick):
         path = work / target if embedding else work / "data" / target
         partner = "labels.csv" if target != "labels.csv" else chooser.choice(DATASET_FILES[:2])
         corrupt_csv(path, fault, chooser, work / "data" / partner)
-        run_expecting_error(command(kind, work))
+        run_expecting_error(command(kind, work), 3)
 
 
 # --- checkpoints -----------------------------------------------------------------
@@ -215,4 +231,4 @@ def test_corrupted_checkpoint_is_rejected(inputs, fault, kind, pick):
             top = header_end + 8 * chooser.randrange((len(blob) - header_end) // 8) + 6
             blob[top : top + 2] = chooser.choice([b"\xf0\x7f", b"\xf8\xff"])
         path.write_bytes(bytes(blob))
-        run_expecting_error(command(kind, work))
+        run_expecting_error(command(kind, work), 3)

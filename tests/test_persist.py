@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -7,7 +8,10 @@ import pytest
 from gmc.errors import DataError, FormatError
 from gmc.model import GmcModel
 from gmc.persist import (
+    _TWIN_HEADER,
     CHECKPOINT_MAGIC,
+    TWIN_MAGIC,
+    _read_twin,
     format_float,
     load_checkpoint,
     load_dataset,
@@ -15,6 +19,7 @@ from gmc.persist import (
     save_checkpoint,
     save_dataset,
     sha256_file,
+    twin_path,
     write_csv,
     write_manifest,
 )
@@ -155,6 +160,143 @@ class TestCsv:
         header, mat = read_matrix_csv(tmp_path / "h.csv")
         assert header == ["a", "b"]
         assert mat.shape[0] == 0
+
+
+def _outcome(path):
+    try:
+        header, mat = read_matrix_csv(path)
+    except DataError as err:
+        return ("error", str(err))
+    return header, mat.shape, mat.tobytes()
+
+
+def _flip(path, offset):
+    blob = bytearray(path.read_bytes())
+    blob[offset] ^= 0xFF
+    path.write_bytes(bytes(blob))
+
+
+class TestTwin:
+    """A twin that is missing, stale or corrupt is never trusted: the read
+    gives exactly what parsing the CSV alone gives, result or error."""
+
+    MAT = np.arange(12.0).reshape(4, 3) / 7.0 - 0.5
+
+    @pytest.fixture()
+    def csv(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_csv(path, ["a", "b", "c"], self.MAT)
+        return path
+
+    def _assert_ignored(self, path):
+        assert _read_twin(path, path.read_bytes()) is None
+        with_twin = _outcome(path)
+        shutil.move(twin_path(path), path.parent / "kept.f64")
+        assert with_twin == _outcome(path)
+        return with_twin
+
+    def test_layout(self, csv):
+        blob = twin_path(csv).read_bytes()
+        payload = blob[_TWIN_HEADER.size :]
+        assert _TWIN_HEADER.size == 84
+        assert blob[:4] == TWIN_MAGIC == b"GMCM"
+        assert blob[4:36] == hashlib.sha256(csv.read_bytes()).digest()
+        assert blob[36:68] == hashlib.sha256(payload).digest()
+        assert blob[68:84] == (4).to_bytes(8, "little") + (3).to_bytes(8, "little")
+        assert payload == self.MAT.astype("<f8").tobytes()
+        header, mat = read_matrix_csv(csv)
+        assert mat.flags.writeable and mat.dtype == np.float64
+        assert (header, mat.tobytes()) == (["a", "b", "c"], self.MAT.tobytes())
+
+    @pytest.mark.parametrize("keep", [0, 1, 83, 84, 100, -1])
+    def test_truncated_twin(self, csv, keep):
+        twin = twin_path(csv)
+        twin.write_bytes(twin.read_bytes()[:keep])
+        assert self._assert_ignored(csv)[1] == (4, 3)
+
+    @pytest.mark.parametrize("offset", [0, 3, 4, 35, 36, 67, 68, 75, 76, 83])
+    def test_flipped_header_byte(self, csv, offset):
+        _flip(twin_path(csv), offset)
+        assert self._assert_ignored(csv)[1] == (4, 3)
+
+    @pytest.mark.parametrize("value", [0, 5, 11])
+    def test_flipped_payload_byte(self, csv, value):
+        # the lowest mantissa byte: still a finite value, so only the
+        # payload hash can tell
+        _flip(twin_path(csv), _TWIN_HEADER.size + 8 * value)
+        assert self._assert_ignored(csv)[1] == (4, 3)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda t: t.replace("a,b,c", "x,y,z"),
+            lambda t: t[:-2] + "9\n",
+            lambda t: t.replace("\n", "\r\n"),
+            lambda t: t + "\n",
+            lambda t: t[:-3] + "nan\n",
+            lambda t: t.rsplit("\n", 2)[0] + ",1\n",
+            lambda t: t.split("\n", 1)[0] + "\n",
+            lambda t: "",
+        ],
+        ids=["header", "value", "crlf", "blank-line", "non-finite", "ragged", "header-only", "empty"],
+    )
+    def test_stale_twin_after_the_csv_is_edited(self, csv, edit):
+        csv.write_bytes(edit(csv.read_text()).encode())
+        self._assert_ignored(csv)
+
+    def test_twin_copied_from_another_csv(self, csv, tmp_path):
+        other = tmp_path / "other.csv"
+        write_csv(other, ["a", "b", "c"], self.MAT[::-1].copy())
+        shutil.copy(twin_path(other), twin_path(csv))
+        assert self._assert_ignored(csv) == (["a", "b", "c"], (4, 3), self.MAT.tobytes())
+
+    def test_twin_of_a_non_finite_matrix_is_not_trusted(self, tmp_path):
+        mat = self.MAT.copy()
+        mat[2, 1] = np.inf
+        write_csv(tmp_path / "m.csv", ["a", "b", "c"], mat)
+        assert self._assert_ignored(tmp_path / "m.csv") == (
+            "error",
+            f"non-finite cell in {tmp_path / 'm.csv'}: data row 3, column b",
+        )
+
+    def test_header_width_must_match(self, tmp_path):
+        write_csv(tmp_path / "m.csv", ["a", "b"], self.MAT)
+        assert self._assert_ignored(tmp_path / "m.csv")[0] == "error"
+
+    @pytest.mark.parametrize("name", ["", "a\rb", "a\nb", "a\r\nb"])
+    def test_header_with_a_line_break_or_no_text(self, tmp_path, name):
+        # the parse reads such a header otherwise than it was written
+        write_csv(tmp_path / "m.csv", [name], self.MAT[:, :1].copy())
+        self._assert_ignored(tmp_path / "m.csv")
+
+    @pytest.mark.parametrize("extra", [b"", bytes(8), bytes(3)], ids=["short", "long", "ragged"])
+    def test_payload_length_must_fit_the_shape(self, csv, extra):
+        # hashes that match a payload of the wrong length: well-formedness
+        # alone must reject it, or the reshape would raise
+        payload = self.MAT.astype("<f8").tobytes()[: -8 if not extra else None] + extra
+        digest = hashlib.sha256(csv.read_bytes()).digest()
+        header = _TWIN_HEADER.pack(TWIN_MAGIC, digest, hashlib.sha256(payload).digest(), 4, 3)
+        twin_path(csv).write_bytes(header + payload)
+        assert self._assert_ignored(csv)[1] == (4, 3)
+
+    def test_zero_row_twin_is_not_trusted(self, tmp_path):
+        path = tmp_path / "h.csv"
+        write_csv(path, ["a", "b", "c"], [])
+        digest = hashlib.sha256(path.read_bytes()).digest()
+        empty = hashlib.sha256(b"").digest()
+        twin_path(path).write_bytes(_TWIN_HEADER.pack(TWIN_MAGIC, digest, empty, 0, 3))
+        assert self._assert_ignored(path) == (["a", "b", "c"], (0,), b"")
+
+    def test_no_twin_for_rows_that_are_not_a_float_matrix(self, tmp_path):
+        assert write_csv(tmp_path / "i.csv", ["a"], np.arange(3).reshape(3, 1)) == [tmp_path / "i.csv"]
+        assert write_csv(tmp_path / "t.csv", ["a", "b"], [(1.0, 2.0)]) == [tmp_path / "t.csv"]
+        assert write_csv(tmp_path / "e.csv", ["a"], np.empty((0, 1))) == [tmp_path / "e.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e.csv", "i.csv", "t.csv"]
+
+    def test_non_utf8_csv_is_a_data_error(self, csv):
+        csv.write_bytes(csv.read_bytes() + b"\xfe\xff")
+        outcome = self._assert_ignored(csv)
+        assert outcome[0] == "error" and outcome[1].startswith(f"CSV is not UTF-8 text: {csv} (")
 
 
 class TestDatasetDirectory:
