@@ -43,6 +43,7 @@ from .persist import (
     read_matrix_csv,
     save_checkpoint,
     save_dataset,
+    write_atomic,
     write_csv,
     write_manifest,
 )
@@ -159,9 +160,11 @@ def _jsonable(value):
     return value
 
 
-def _dataset_input_hashes(dataset_dir, modality_count: int) -> dict:
+def _dataset_input_hashes(dataset_dir, modality_count: int, digests: dict) -> dict:
+    """Manifest entries of a dataset's CSVs, from the digests `load_dataset`
+    recorded while it read them."""
     names = [modality_filename(m) for m in range(modality_count)] + ["labels.csv"]
-    return {name: hash_entry(Path(dataset_dir) / name) for name in names}
+    return {name: hash_entry(Path(dataset_dir) / name, digests) for name in names}
 
 
 def _check_model_matches_dataset(model: GmcModel, dataset) -> None:
@@ -210,12 +213,13 @@ def cmd_train(args) -> None:
         _load_json_config(args.config), args.seed, args.loss
     )
     out = Path(args.out)
-    model, result = _train_and_write(load_dataset(args.dataset), config, model_kwargs, out)
+    digests = {}
+    model, result = _train_and_write(load_dataset(args.dataset, digests), config, model_kwargs, out)
     write_manifest(
         out / "manifest.json",
         "train",
         {"train": _jsonable(config), "model": _jsonable(model_kwargs)},
-        inputs={"dataset": _dataset_input_hashes(args.dataset, model.modality_count)},
+        inputs={"dataset": _dataset_input_hashes(args.dataset, model.modality_count, digests)},
         outputs={
             "checkpoint.gmc": hash_entry(out / "checkpoint.gmc"),
             "loss_trace.csv": hash_entry(out / "loss_trace.csv"),
@@ -242,8 +246,9 @@ def _parse_pathway(text: str, modality_count: int):
 
 
 def cmd_encode(args) -> None:
-    model = load_checkpoint(args.checkpoint)
-    dataset = load_dataset(args.dataset)
+    digests = {}
+    model = load_checkpoint(args.checkpoint, digests)
+    dataset = load_dataset(args.dataset, digests)
     _check_model_matches_dataset(model, dataset)
     pathway = _parse_pathway(args.pathway, model.modality_count)
     if pathway == "complete":
@@ -259,8 +264,8 @@ def cmd_encode(args) -> None:
         "encode",
         {"pathway": args.pathway, "split": args.split},
         inputs={
-            "checkpoint": hash_entry(args.checkpoint),
-            "dataset": _dataset_input_hashes(args.dataset, model.modality_count),
+            "checkpoint": hash_entry(args.checkpoint, digests),
+            "dataset": _dataset_input_hashes(args.dataset, model.modality_count, digests),
         },
         outputs={path.name: hash_entry(path) for path in written},
     )
@@ -283,20 +288,20 @@ def pca_2d(points: np.ndarray) -> np.ndarray:
 
 
 def report_as_dict(report: DcaReport, k: int) -> dict:
-    out = _jsonable(report)
+    """The report's fields, each component's with its `fundamental` flag,
+    and k; every value is already a JSON type."""
+    out = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    out["components"] = [dict(vars(c), fundamental=c.fundamental) for c in report.components]
     out["k"] = k
-    for comp in out["components"]:
-        comp["fundamental"] = bool(
-            comp["consistency"] > 0.0 and comp["quality"] > 0.0
-        )
     return out
 
 
 def cmd_eval_dca(args) -> None:
     if args.k < 1:
         raise ConfigError("--k", f"must be at least 1, got {args.k}")
-    _, reference = read_matrix_csv(args.reference)
-    _, evaluation = read_matrix_csv(args.evaluation)
+    digests = {}
+    _, reference = read_matrix_csv(args.reference, digests)
+    _, evaluation = read_matrix_csv(args.evaluation, digests)
     for path, points in ((args.reference, reference), (args.evaluation, evaluation)):
         if points.size == 0:
             raise DataError(f"embedding CSV holds no rows: {path}")
@@ -307,30 +312,25 @@ def cmd_eval_dca(args) -> None:
     report = evaluate_alignment(reference, evaluation, k=args.k)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(
-        json.dumps(report_as_dict(report, args.k), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
+    write_atomic(
+        out / "report.json",
+        (json.dumps(report_as_dict(report, args.k), indent=2, sort_keys=True) + "\n").encode("utf-8"),
     )
-    n_ref = reference.shape[0]
-
-    def origin(v: int) -> str:
-        return "R" if v < n_ref else "E"
-
-    write_csv(out / "outliers.csv", ["vertex", "origin"], ((v, origin(v)) for v in report.outliers))
-    pooled = np.concatenate([reference, evaluation], axis=0)
-    proj = pca_2d(pooled)
+    origins = ["R"] * reference.shape[0] + ["E"] * evaluation.shape[0]
     write_csv(
-        out / "pca2d.csv",
-        ["origin", "pc1", "pc2"],
-        ((origin(v), proj[v, 0], proj[v, 1]) for v in range(pooled.shape[0])),
+        out / "outliers.csv", ["vertex", "origin"], ((v, origins[v]) for v in report.outliers), "%d,%s"
+    )
+    proj = pca_2d(np.concatenate([reference, evaluation], axis=0))
+    write_csv(
+        out / "pca2d.csv", ["origin", "pc1", "pc2"], zip(origins, *proj.T.tolist()), "%s,%.17g,%.17g"
     )
     write_manifest(
         out / "manifest.json",
         "eval-dca",
         {"k": args.k},
         inputs={
-            "reference": hash_entry(args.reference),
-            "evaluation": hash_entry(args.evaluation),
+            "reference": hash_entry(args.reference, digests),
+            "evaluation": hash_entry(args.evaluation, digests),
         },
         outputs={
             name: hash_entry(out / name) for name in ("report.json", "outliers.csv", "pca2d.csv")
@@ -356,8 +356,9 @@ def _probe_and_write(model: GmcModel, dataset, config: ProbeConfig, out: Path):
 
 def cmd_eval_probe(args) -> None:
     config = resolve_probe_config(_load_json_config(args.config), args.seed)
-    model = load_checkpoint(args.checkpoint)
-    dataset = load_dataset(args.dataset)
+    digests = {}
+    model = load_checkpoint(args.checkpoint, digests)
+    dataset = load_dataset(args.dataset, digests)
     _check_model_matches_dataset(model, dataset)
     out = Path(args.out)
     table = _probe_and_write(model, dataset, config, out)
@@ -366,8 +367,8 @@ def cmd_eval_probe(args) -> None:
         "eval-probe",
         _jsonable(config),
         inputs={
-            "checkpoint": hash_entry(args.checkpoint),
-            "dataset": _dataset_input_hashes(args.dataset, model.modality_count),
+            "checkpoint": hash_entry(args.checkpoint, digests),
+            "dataset": _dataset_input_hashes(args.dataset, model.modality_count, digests),
         },
         outputs={"robustness.csv": hash_entry(out / "robustness.csv")},
     )
@@ -427,7 +428,8 @@ def run_sweep_point(dataset_dir: str, run_dir: str, raw_config: dict) -> dict:
     """Train one grid point and measure it: probe accuracies per pathway and
     the DCA harmonic of each (complete, modality) embedding pair."""
     config, model_kwargs = resolve_train_config(raw_config, None, None)
-    dataset = load_dataset(dataset_dir)
+    digests = {}
+    dataset = load_dataset(dataset_dir, digests)
     out = Path(run_dir)
     model, _ = _train_and_write(dataset, config, model_kwargs, out)
     table = _probe_and_write(model, dataset, ProbeConfig(seed=config.seed), out)
@@ -441,7 +443,7 @@ def run_sweep_point(dataset_dir: str, run_dir: str, raw_config: dict) -> dict:
         out / "manifest.json",
         "sweep-point",
         {"train": _jsonable(config), "model": _jsonable(model_kwargs)},
-        inputs={"dataset": _dataset_input_hashes(dataset_dir, model.modality_count)},
+        inputs={"dataset": _dataset_input_hashes(dataset_dir, model.modality_count, digests)},
         outputs={
             name: hash_entry(out / name)
             for name in ("checkpoint.gmc", "loss_trace.csv", "robustness.csv", "dca.csv")
@@ -478,7 +480,8 @@ def cmd_sweep(args) -> None:
     points = _grid_points(base, axes)
     for _, raw_config in points:  # fail fast, before any point trains
         resolve_train_config(raw_config, None, None)
-    dataset = load_dataset(args.dataset)
+    digests = {}
+    dataset = load_dataset(args.dataset, digests)
     modality_count = len(dataset.modalities)
     del dataset
     out = Path(args.out)
@@ -515,7 +518,7 @@ def cmd_sweep(args) -> None:
         out / "manifest.json",
         "sweep",
         {"base": _jsonable(base), "axes": _jsonable(dict(axes))},
-        inputs={"dataset": _dataset_input_hashes(args.dataset, modality_count)},
+        inputs={"dataset": _dataset_input_hashes(args.dataset, modality_count, digests)},
         outputs=outputs,
     )
     print(f"swept {len(points)} grid points into {args.out}")

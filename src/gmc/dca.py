@@ -69,56 +69,65 @@ class LabeledPointCloud:
 class NeighborhoodGraph:
     """Undirected simple graph plus its connected-component partition.
 
-    `components` are tuples of sorted vertex indices, ordered by their
-    smallest vertex; `component_of[v]` gives v's component index. Isolated
-    vertices form singleton components.
+    `edges` may be given as vertex pairs or as an (E, 2) integer array; it is
+    stored as sorted (min, max) tuples, and `edge_array` holds the same pairs
+    as an (E, 2) array. `components` are tuples of sorted vertex indices,
+    ordered by their smallest vertex; `component_of[v]` gives v's component
+    index. Isolated vertices form singleton components.
     """
 
     n_vertices: int
     edges: tuple[tuple[int, int], ...]
     components: tuple[tuple[int, ...], ...] = field(init=False)
     component_of: np.ndarray = field(init=False, repr=False)
+    edge_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n_vertices < 1:
+        n = self.n_vertices
+        if n < 1:
             raise ContractError("graph needs at least one vertex")
-        seen = set()
-        normalized = []
-        for u, v in self.edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ContractError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
-                raise ContractError(f"edge ({u}, {v}) outside vertex range")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ContractError(f"duplicate edge {key}")
-            seen.add(key)
-            normalized.append(key)
-        normalized.sort()
-        object.__setattr__(self, "edges", tuple(normalized))
+        pairs = np.array(self.edges, dtype=np.int64)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ContractError(f"edges must be vertex pairs, got shape {pairs.shape}")
+        pairs.sort(axis=1)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        bad = (lo == hi) | (lo < 0) | (hi >= n)
+        if np.count_nonzero(bad):
+            u, v = np.array(self.edges, dtype=np.int64)[bad.argmax()].tolist()
+            raise ContractError(f"self-loop at vertex {u}" if u == v else f"edge ({u}, {v}) outside vertex range")
+        keys = lo * n + hi
+        order = keys.argsort(kind="stable")
+        keys = keys[order]
+        repeated = keys[1:] == keys[:-1]
+        if np.count_nonzero(repeated):
+            first = order[1:][repeated].min()  # the first repeat in input order
+            raise ContractError(f"duplicate edge {tuple(pairs[first].tolist())}")
+        edge_array = pairs[order]
+        lo, hi = edge_array[:, 0], edge_array[:, 1]
 
-        parent = list(range(self.n_vertices))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in normalized:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
-        groups: dict[int, list[int]] = {}
-        for v in range(self.n_vertices):
-            groups.setdefault(find(v), []).append(v)
-        components = tuple(tuple(groups[root]) for root in sorted(groups))
-        component_of = np.empty(self.n_vertices, dtype=np.int64)
-        for ci, comp in enumerate(components):
-            for v in comp:
-                component_of[v] = ci
-        component_of.setflags(write=False)
+        # Hook and compress: hooking each root to a smaller root keeps
+        # parent[x] < x for every other vertex, so every root ends as the
+        # smallest vertex of its component, and ceil(log2 n) jumps reach it
+        # from any vertex; the loop ends once no edge joins two trees.
+        parent = np.arange(n)
+        jumps = (n - 1).bit_length()
+        while True:
+            root_lo, root_hi = parent[lo], parent[hi]
+            if not np.count_nonzero(root_lo != root_hi):
+                break
+            np.minimum.at(parent, np.maximum(root_lo, root_hi), np.minimum(root_lo, root_hi))
+            for _ in range(jumps):
+                parent = parent[parent]
+        component_of = ((parent == np.arange(n)).cumsum() - 1)[parent]
+        members = component_of.argsort(kind="stable").tolist()
+        bounds = np.bincount(component_of).cumsum().tolist()
+        components = tuple(tuple(members[a:b]) for a, b in zip([0] + bounds[:-1], bounds))
+        for array in (edge_array, component_of):
+            array.setflags(write=False)
+        object.__setattr__(self, "edges", tuple(zip(lo.tolist(), hi.tolist())))
+        object.__setattr__(self, "edge_array", edge_array)
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "component_of", component_of)
 
@@ -143,68 +152,94 @@ def build_graph(cloud: LabeledPointCloud, k: int = 5) -> NeighborhoodGraph:
     pts = cloud.points
     dim = pts.shape[1]
     sq = np.einsum("ij,ij->i", pts, pts)
-    # The Gram value g = fl(s_x + s_y) - 2 fl(x.y), s = fl(|x|^2), only filters
-    # candidates; they are ranked by D = sum(fl(y - x)^2), computed per kept
-    # candidate, so ties and near-ties fall as in a full distance row.
+    # Row i's Gram values only filter candidates: its upper and lower
+    # values are U_ij = fl(A_ij + fl(s_j + rho_j)) and
+    # L_ij = fl(A_ij + fl(s_j - rho_j)), with A_ij = fl((-2 x_i) . x_j) from
+    # the GEMM and s = fl(|x|^2). They leave out |x_i|^2, which shifts the
+    # whole row alike. The candidates are ranked by D = sum(fl(x_j - x_i)^2),
+    # so ties and near-ties fall as in a full distance row.
     # Rounding bound (Higham, "Accuracy and Stability of Numerical
-    # Algorithms", ch. 3, with u = 2^-53 and gamma_m = m u / (1 - m u)),
-    # for d2 = |x - y|^2:
-    # - |s_x - |x|^2| <= gamma_dim |x|^2 and |fl(x.y) - x.y| <= gamma_dim |x||y|
-    #   in any summation order, FMA or not; the sum and the difference in g
-    #   add two roundings, so |g - d2| <= gamma_{dim+2} (|x| + |y|)^2.
+    # Algorithms", ch. 3, with u = 2^-53, gamma_m = m u / (1 - m u),
+    # G = gamma_{dim+2} >= 3u, n = |x|^2 exact and d2 = |x_i - x_j|^2):
+    # - -2 x_i is exact (a power of two; nothing overflows, see below), so
+    #   |A_ij + 2 x_i.x_j| <= G (n_i + n_j) in any summation order, FMA or
+    #   not, as 2|x_i||x_j| <= n_i + n_j; and |s_j - n_j| <= G n_j;
     # - D rounds once in each difference, once in each square and dim - 1
-    #   times in a sum of non-negative terms: |D - d2| <= gamma_{dim+2} d2,
-    #   and d2 <= (|x| + |y|)^2.
-    # So |g - D| <= 2 gamma_{dim+2} (|x| + |y|)^2 <= 4 gamma_{dim+2} (|x|^2 + |y|^2).
-    # Forming g +- b rounds once more, by at most 2u (|x|^2 + |y|^2), and
-    # fl(s_x + s_y) may fall short of |x|^2 + |y|^2 by a relative gamma_{dim+1};
-    # b = 8 gamma_{dim+3} fl(s_x + s_y) covers all of it twice over. Under
-    # gradual underflow sums and differences keep that relative bound, but
-    # each product may also err by eta/2, half the smallest subnormal: g and
-    # D carry 5 dim such errors (the Gram product counts twice), 2.5 dim eta
-    # in all, and the absolute term (4 dim + 8) eta also covers the rounding
-    # of b itself. Nothing overflows: LabeledPointCloud rejects clouds whose
-    # 8 max|x|^2 is not finite.
-    # With every |g - D| <= b, a point j whose g_j - b_j exceeds the k-th
-    # smallest g + b has k other points strictly nearer by D, so it is never
-    # among the k nearest, not even on a tie.
+    #   times in a sum of non-negative terms: |D - d2| <= G d2, and
+    #   d2 <= 2 (n_i + n_j);
+    # - forming s_j +- rho_j and adding it to A_ij round by at most
+    #   u (s_j + rho_j) and u (n_i + n_j + s_j + rho_j), to first order.
+    # So D_il - n_i <= U_il + beta_i and L_ij <= D_ij - n_i + beta_i, where
+    # the row term beta_i = (3G + 2u) n_i, as long as rho_j covers the
+    # column term (4G + 5u) n_j + 3u rho_j. rho_j = 8 gamma_{dim+3} s_j
+    # + (4 dim + 8) eta covers it, with room for the second-order terms and
+    # the roundings of forming rho, and 2 rho_i covers 2 beta_i. Under
+    # gradual underflow sums and differences keep their relative bound, but
+    # each product may also err by eta/2, half the smallest subnormal: A_ij,
+    # s_j and D carry 3 dim such errors, 1.5 dim eta in all, which the
+    # absolute term covers on the row side and on the column side. Nothing
+    # overflows: LabeledPointCloud rejects clouds whose 8 max|x|^2 is not
+    # finite, and no value formed here exceeds 4 max|x|^2 by more than the
+    # bound.
+    # Let T_i be the k-th smallest U_il (l != i). The threshold
+    # nextafter(fl(T_i + 2 rho_i), +inf) is at least T_i + 2 beta_i, so a
+    # point j with L_ij above it has D_ij - n_i > T_i + beta_i >= D_il - n_i
+    # for the k points l with U_il <= T_i; j is not one of them, since
+    # L_ij <= U_ij. So j is never among the k nearest, not even on a tie.
+    # Only rho splits per column: a bound from the largest s_j would make
+    # one far outlier turn every point into a candidate.
     u = 2.0**-53
     rel = 8.0 * (dim + 3) * u / (1.0 - (dim + 3) * u)
-    eta = 2.0**-1074
+    rho = rel * sq + (4 * dim + 8) * 2.0**-1074
+    upper, lower, slack = sq + rho, sq - rho, 2.0 * rho
+    # reused across blocks: the GEMM block, the upper values and the mask
+    block_rows = min(_BLOCK_ROWS, n)
+    gram = np.empty((block_rows, n))
+    ranked = np.empty((block_rows, n))
+    kept = np.empty((block_rows, n), dtype=bool)
+    # rows of x_j - x_i per exact-distance pass: at most n, and at most
+    # 65536 floats, so each pass stays in cache and a block that keeps every
+    # point (a collapsed cloud) holds no more than a few 64 x n arrays
+    chunk = max(1, min(n, 65536 // max(dim, 1)))
     nearest = np.empty((n, k), dtype=np.int64)
     for r0 in range(0, n, _BLOCK_ROWS):
         r1 = min(r0 + _BLOCK_ROWS, n)
-        rows = np.arange(r0, r1)
-        # in place, so a block holds three 64 x n float arrays at a time;
-        # s - 2 x.y and s + (-2 x.y) round alike
-        b = sq[r0:r1, None] + sq[None, :]
-        g = pts[r0:r1] @ pts.T
-        g *= -2.0
-        g += b
-        # +inf keeps each point out of its own neighbour list: the k-th
-        # smallest g + b below is finite because k < n
-        g[rows - r0, rows] = np.inf
-        b *= rel
-        b += (4 * dim + 8) * eta
-        lower = g - b
-        g += b  # g now holds the upper bound g + b
-        g.partition(k - 1, axis=1)
-        keep = lower <= g[:, k - 1, None]
-        for i, row_keep in zip(rows, keep):
-            cand = np.flatnonzero(row_keep)
-            diff = pts[cand] - pts[i]
-            d2 = np.einsum("ij,ij->i", diff, diff)
-            # lexsort's last key is primary: sort by distance, then index
-            nearest[i] = cand[np.lexsort((cand, d2))[:k]]
+        m = r1 - r0
+        g, part, keep = gram[:m], ranked[:m], kept[:m]
+        np.matmul(-2.0 * pts[r0:r1], pts.T, out=g)
+        # +inf keeps each point out of its own neighbour list: T_i is
+        # finite because k < n
+        local = np.arange(m)
+        g[local, local + r0] = np.inf
+        np.add(g, upper, out=part)
+        part.partition(k - 1, axis=1)
+        threshold = np.nextafter(part[:, k - 1] + slack[r0:r1], np.inf)
+        g += lower
+        np.less_equal(g, threshold[:, None], out=keep)
+        flat = np.flatnonzero(keep)
+        row, cand = np.divmod(flat, n)
+        row += r0
+        d2 = np.empty(flat.size)
+        for c0 in range(0, flat.size, chunk):
+            diff = pts[cand[c0 : c0 + chunk]] - pts[row[c0 : c0 + chunk]]
+            d2[c0 : c0 + chunk] = np.einsum("ij,ij->i", diff, diff)
+        # lexsort's last key is primary: by row, then distance, then index;
+        # `row` is already sorted, so each row's group starts where it did
+        order = np.lexsort((cand, d2, row))
+        starts = np.searchsorted(row, np.arange(r0, r1))
+        nearest[r0:r1] = cand[order[starts[:, None] + np.arange(k)]]
     src = np.repeat(np.arange(n, dtype=np.int64), k)
     dst = nearest.ravel()
-    keys = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst))
-    return NeighborhoodGraph(n, tuple(zip((keys // n).tolist(), (keys % n).tolist())))
+    keys = np.minimum(src, dst) * n + np.maximum(src, dst)
+    keys.sort()
+    # sort and drop repeats, as np.unique would without importing numpy.ma
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    return NeighborhoodGraph(n, np.stack([keys // n, keys % n], axis=1))
 
 
 def graph_from_edges(n_vertices: int, edges) -> NeighborhoodGraph:
     """Score an externally supplied graph (construction-agnostic entry)."""
-    return NeighborhoodGraph(int(n_vertices), tuple((int(u), int(v)) for u, v in edges))
+    return NeighborhoodGraph(int(n_vertices), tuple(edges))
 
 
 # --- scoring ------------------------------------------------------------------
@@ -243,38 +278,43 @@ def component_quality(edges_rr: int, edges_ee: int, edges_re: int) -> float:
     return 1.0 - (edges_rr + edges_ee) / total
 
 
+# column of an edge in (rr, ee, re), by how many of its endpoints are reference
+_EDGE_KIND = np.array([1, 2, 0])
+
+
 def score_components(graph: NeighborhoodGraph, is_reference) -> list[ComponentScore]:
     mask = np.asarray(is_reference, dtype=bool)
     if mask.shape != (graph.n_vertices,):
         raise ShapeError("score_components", (graph.n_vertices,), mask.shape)
-    counts = [[0, 0, 0] for _ in graph.components]  # rr, ee, re per component
-    for u, v in graph.edges:
-        slot = counts[graph.component_of[u]]
-        if mask[u] and mask[v]:
-            slot[0] += 1
-        elif not mask[u] and not mask[v]:
-            slot[1] += 1
-        else:
-            slot[2] += 1
-    scores = []
-    for ci, comp in enumerate(graph.components):
-        n_r = int(mask[list(comp)].sum())
-        n_e = len(comp) - n_r
-        rr, ee, re = counts[ci]
-        scores.append(
-            ComponentScore(
-                component_id=ci,
-                vertices=comp,
-                n_reference=n_r,
-                n_evaluation=n_e,
-                edges_rr=rr,
-                edges_ee=ee,
-                edges_re=re,
-                consistency=component_consistency(n_r, n_e),
-                quality=component_quality(rr, ee, re),
-            )
+    n_components = len(graph.components)
+    lo, hi = graph.edge_array[:, 0], graph.edge_array[:, 1]
+    ref = mask.view(np.int8)
+    slot = graph.component_of[lo] * 3 + _EDGE_KIND[ref[lo] + ref[hi]]
+    counts = np.bincount(slot, minlength=3 * n_components).reshape(n_components, 3).tolist()
+    refs = np.bincount(graph.component_of[mask], minlength=n_components).tolist()
+    return [
+        ComponentScore(
+            component_id=ci,
+            vertices=comp,
+            n_reference=n_r,
+            n_evaluation=len(comp) - n_r,
+            edges_rr=rr,
+            edges_ee=ee,
+            edges_re=re,
+            consistency=component_consistency(n_r, len(comp) - n_r),
+            quality=component_quality(rr, ee, re),
         )
-    return scores
+        for ci, (comp, n_r, (rr, ee, re)) in enumerate(zip(graph.components, refs, counts))
+    ]
+
+
+def _pooled_scores(scores: list[ComponentScore]) -> tuple[float, float]:
+    """(c, q) of the whole graph from the summed counts of its components."""
+    return component_consistency(
+        sum(s.n_reference for s in scores), sum(s.n_evaluation for s in scores)
+    ), component_quality(
+        sum(s.edges_rr for s in scores), sum(s.edges_ee for s in scores), sum(s.edges_re for s in scores)
+    )
 
 
 def network_scores(graph: NeighborhoodGraph, is_reference) -> tuple[float, float]:
@@ -282,17 +322,7 @@ def network_scores(graph: NeighborhoodGraph, is_reference) -> tuple[float, float
     mask = np.asarray(is_reference, dtype=bool)
     if mask.shape != (graph.n_vertices,):
         raise ShapeError("network_scores", (graph.n_vertices,), mask.shape)
-    n_r = int(mask.sum())
-    n_e = graph.n_vertices - n_r
-    rr = ee = re = 0
-    for u, v in graph.edges:
-        if mask[u] and mask[v]:
-            rr += 1
-        elif not mask[u] and not mask[v]:
-            ee += 1
-        else:
-            re += 1
-    return component_consistency(n_r, n_e), component_quality(rr, ee, re)
+    return _pooled_scores(score_components(graph, mask))
 
 
 def fundamental_components(scores: list[ComponentScore]) -> tuple[int, ...]:
@@ -307,15 +337,14 @@ def fundamental_components(scores: list[ComponentScore]) -> tuple[int, ...]:
 def precision_recall(is_reference, fundamental_vertices) -> tuple[float, float]:
     """P = fundamental share of E vertices, R = fundamental share of R vertices."""
     mask = np.asarray(is_reference, dtype=bool)
-    n_r = int(mask.sum())
+    n_r = int(np.count_nonzero(mask))
     n_e = mask.size - n_r
     if n_r < 1 or n_e < 1:
         raise ContractError("need both reference and evaluation vertices")
     in_f = np.zeros(mask.size, dtype=bool)
     in_f[list(fundamental_vertices)] = True
-    precision = float((in_f & ~mask).sum() / n_e)
-    recall = float((in_f & mask).sum() / n_r)
-    return precision, recall
+    found_r = int(np.count_nonzero(in_f & mask))
+    return (int(np.count_nonzero(in_f)) - found_r) / n_e, found_r / n_r
 
 
 def harmonic_score(precision: float, recall: float, quality: float) -> float:
@@ -354,11 +383,12 @@ def score_labeled_graph(graph: NeighborhoodGraph, is_reference) -> DcaReport:
     """Scoring layer alone; works for any graph regardless of provenance."""
     mask = np.asarray(is_reference, dtype=bool)
     scores = score_components(graph, mask)
-    net_c, net_q = network_scores(graph, mask)
+    net_c, net_q = _pooled_scores(scores)
     fundamental = fundamental_components(scores)
     precision, recall = precision_recall(mask, fundamental)
-    in_f = np.zeros(graph.n_vertices, dtype=bool)
-    in_f[list(fundamental)] = True
+    outside = np.ones(graph.n_vertices, dtype=bool)
+    outside[list(fundamental)] = False
+    n_r = int(np.count_nonzero(mask))
     return DcaReport(
         components=tuple(scores),
         network_consistency=net_c,
@@ -367,9 +397,9 @@ def score_labeled_graph(graph: NeighborhoodGraph, is_reference) -> DcaReport:
         precision=precision,
         recall=recall,
         harmonic=harmonic_score(precision, recall, net_q),
-        outliers=tuple(int(v) for v in np.flatnonzero(~in_f)),
-        n_reference=int(mask.sum()),
-        n_evaluation=int((~mask).sum()),
+        outliers=tuple(outside.nonzero()[0].tolist()),
+        n_reference=n_r,
+        n_evaluation=mask.size - n_r,
     )
 
 

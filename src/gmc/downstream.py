@@ -94,7 +94,10 @@ def cross_entropy(logits: Tensor, y: np.ndarray) -> Tensor:
         raise ShapeError("cross_entropy", logits.shape, y.shape)
     if y.min() < 0 or y.max() >= c:
         raise ConfigError("labels", "class index out of range")
-    return softmax_cross_entropy(logits, np.eye(c)[y])
+    # the one-hot rows directly: an identity would cost C x C floats per step
+    onehot = np.zeros((b, c))
+    onehot[np.arange(b), y] = 1.0
+    return softmax_cross_entropy(logits, onehot)
 
 
 def train_probe(

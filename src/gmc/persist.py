@@ -12,12 +12,19 @@ reader can reconstruct the exact double. There are two binary formats:
   counts, then the matrix as raw little-endian float64. A reader trusts the
   twin only while the CSV it sits beside still hashes to the recorded value,
   so an edited CSV is simply parsed again; the CSV stays the artifact.
+
+Every file is written through `write_atomic`, so a write that fails part
+way leaves the old file or none under the final name, never a truncated
+one. The readers can record the sha256 of the bytes they parsed, so a
+manifest names exactly what a command read, without reading it again.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -48,6 +55,23 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
+def write_atomic(path, data: bytes) -> Path:
+    """Write `data` to a sibling temporary file and move it onto `path` in
+    one step: a write that fails part way (a full disk, say) leaves the old
+    file or no file under `path`, never a truncated one. It guards against
+    failed writes, not against power loss: nothing is fsynced."""
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "wb") as fh:
+            fh.write(data)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+    return path
+
+
 # --- checkpoints ----------------------------------------------------------------
 
 
@@ -69,15 +93,17 @@ def save_checkpoint(path, model: GmcModel) -> None:
         "parameters": [{"name": k, "shape": list(p.shape)} for k, p in params.items()],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(model.flat_parameters().astype("<f8", copy=False).tobytes())
+    payload = model.flat_parameters().astype("<f8", copy=False).tobytes()
+    write_atomic(path, CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob + payload)
 
 
-def load_checkpoint(path) -> GmcModel:
-    with open(path, "rb") as fh:
+def load_checkpoint(path, digests: dict | None = None) -> GmcModel:
+    """Read a checkpoint; if `digests` is given, record the sha256 of the
+    bytes read under `str(path)`."""
+    raw = Path(path).read_bytes()
+    if digests is not None:
+        digests[str(path)] = hashlib.sha256(raw).hexdigest()
+    with io.BytesIO(raw) as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise FormatError(f"not a checkpoint: bad magic {magic!r}")
@@ -140,38 +166,39 @@ def twin_path(path) -> Path:
     return Path(f"{path}.f64")
 
 
-def write_csv(path, header: list[str], rows) -> list[Path]:
+def write_csv(path, header: list[str], rows, row_format: str | None = None) -> list[Path]:
     """Header line plus one line per row; returns the paths written.
 
     A 2-D float64 array is formatted in bulk ("%.17g" is the same conversion
     as `format_float`) and, if it has a row, also written to its twin, which
-    holds exactly the array a parse of the CSV returns.
+    holds exactly the array a parse of the CSV returns. Other rows are
+    formatted cell by cell, or in bulk by `row_format` when it gives each
+    cell the text `_cell` would ("%s" for a string, "%d" for an int,
+    "%.17g" for a float).
     """
     lines = [",".join(header)]
     matrix = isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64
+    cells = rows
     if matrix:
-        fmt = ",".join(["%.17g"] * rows.shape[1])
-        lines.extend(fmt % tuple(row) for row in rows.tolist())
+        row_format, cells = ",".join(["%.17g"] * rows.shape[1]), rows.tolist()
+    if row_format is None:
+        lines.extend(",".join(_cell(v) for v in row) for row in cells)
     else:
-        lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    path = Path(path)
+        lines.extend(row_format % tuple(row) for row in cells)
     blob = ("\n".join(lines) + "\n").encode("utf-8")
-    path.write_bytes(blob)
+    path = write_atomic(path, blob)
     if not (matrix and rows.shape[0]):
         return [path]
     payload = rows.astype("<f8", order="C", copy=False).tobytes()
-    twin = twin_path(path)
-    twin.write_bytes(
-        _TWIN_HEADER.pack(
-            TWIN_MAGIC, hashlib.sha256(blob).digest(), hashlib.sha256(payload).digest(), *rows.shape
-        )
-        + payload
+    twin = _TWIN_HEADER.pack(
+        TWIN_MAGIC, hashlib.sha256(blob).digest(), hashlib.sha256(payload).digest(), *rows.shape
     )
-    return [path, twin]
+    return [path, write_atomic(twin_path(path), twin + payload)]
 
 
-def _read_twin(path, raw: bytes) -> tuple[list[str], np.ndarray] | None:
-    """(header, matrix) from the twin of the CSV whose bytes are `raw`, or
+def _read_twin(path, raw: bytes, raw_digest: bytes) -> tuple[list[str], np.ndarray] | None:
+    """(header, matrix) from the twin of the CSV whose bytes are `raw` (with
+    sha256 `raw_digest`), or
     None unless the twin is well-formed, was written with exactly these CSV
     bytes, its payload hash checks, its width equals the header's field count
     and every value is finite. The header comes from the CSV's first line,
@@ -197,7 +224,7 @@ def _read_twin(path, raw: bytes) -> tuple[list[str], np.ndarray] | None:
         return None
     if n_cols != len(header):
         return None
-    if csv_digest != hashlib.sha256(raw).digest() or payload_digest != hashlib.sha256(payload).digest():
+    if csv_digest != raw_digest or payload_digest != hashlib.sha256(payload).digest():
         return None
     data = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(n_rows, n_cols)
     return (header, data) if np.all(np.isfinite(data)) else None
@@ -220,16 +247,21 @@ def _reject_rows(path, header: list[str], rows: list[str], parse_error: str):
     raise DataError(f"non-numeric cell in {path}: {parse_error}")
 
 
-def read_matrix_csv(path) -> tuple[list[str], np.ndarray]:
+def read_matrix_csv(path, digests: dict | None = None) -> tuple[list[str], np.ndarray]:
     """Read a numeric CSV written by write_csv: header plus float rows.
 
     Every data line must hold one decimal number per header field: a blank
     line, a `#` or any other text is an error, never skipped. A trusted twin
     (see `_read_twin`) gives the same result without parsing; otherwise the
-    text is read with universal newlines, as a text-mode file reads it.
+    text is read with universal newlines, as a text-mode file reads it. If
+    `digests` is given, the sha256 of the bytes read is recorded in it under
+    `str(path)`.
     """
     raw = Path(path).read_bytes()
-    twin = _read_twin(path, raw)
+    raw_digest = hashlib.sha256(raw).digest()
+    if digests is not None:
+        digests[str(path)] = raw_digest.hex()
+    twin = _read_twin(path, raw, raw_digest)
     if twin is not None:
         return twin
     try:
@@ -259,8 +291,12 @@ def read_matrix_csv(path) -> tuple[list[str], np.ndarray]:
 # --- manifests --------------------------------------------------------------------
 
 
-def hash_entry(path_as_given) -> dict:
-    return {"path": str(path_as_given), "sha256": sha256_file(path_as_given)}
+def hash_entry(path_as_given, digests: dict | None = None) -> dict:
+    """Manifest entry for a file: its path as given and its sha256, which
+    for an input is the one its reader recorded in `digests` while parsing
+    it, and for an output is read from the file."""
+    key = str(path_as_given)
+    return {"path": key, "sha256": sha256_file(key) if digests is None else digests[key]}
 
 
 def write_manifest(path, command: str, config: dict, inputs: dict, outputs: dict) -> None:
@@ -274,9 +310,7 @@ def write_manifest(path, command: str, config: dict, inputs: dict, outputs: dict
         "outputs": outputs,
         "tool_version": __version__,
     }
-    Path(path).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_atomic(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 # --- dataset directories -----------------------------------------------------------
@@ -302,11 +336,13 @@ def save_dataset(out_dir, dataset: MultimodalDataset) -> list[str]:
     return [p.name for p in written]
 
 
-def load_dataset(dataset_dir) -> MultimodalDataset:
+def load_dataset(dataset_dir, digests: dict | None = None) -> MultimodalDataset:
+    """Read a dataset directory; `digests`, if given, receives the sha256 of
+    each CSV read, as `read_matrix_csv` records it."""
     root = Path(dataset_dir)
     if not (root / "labels.csv").exists():
         raise DataError(f"not a dataset directory (no labels.csv): {dataset_dir}")
-    header, label_data = read_matrix_csv(root / "labels.csv")
+    header, label_data = read_matrix_csv(root / "labels.csv", digests)
     if header != ["label", "is_train"]:
         raise FormatError(f"labels.csv has unexpected header {header!r}")
     if label_data.size == 0:
@@ -326,7 +362,7 @@ def load_dataset(dataset_dir) -> MultimodalDataset:
     modalities = []
     m = 0
     while (root / modality_filename(m)).exists():
-        _, x = read_matrix_csv(root / modality_filename(m))
+        _, x = read_matrix_csv(root / modality_filename(m), digests)
         if x.shape[0] != labels.shape[0]:
             raise DataError(f"{modality_filename(m)} row count does not match labels.csv")
         modalities.append(x)

@@ -7,6 +7,7 @@ optimizers, the bulk CSV reader and writer, the binary CSV twin and
 so a single changed rounding fails.
 """
 
+import hashlib
 import tempfile
 from pathlib import Path
 
@@ -324,7 +325,8 @@ def test_twin_matches_parse_and_cell_reader(rows, cols, non_finite, data):
         path = Path(tmp) / "m.csv"
         written = write_csv(path, header, mat)
         assert written == ([path, twin_path(path)] if rows else [path])
-        trusted = _read_twin(path, path.read_bytes()) is not None
+        raw = path.read_bytes()
+        trusted = _read_twin(path, raw, hashlib.sha256(raw).digest()) is not None
         assert trusted == (rows > 0 and bool(np.all(np.isfinite(mat))))
         with_twin = _outcome(read_matrix_csv, path)
         if rows:

@@ -1,14 +1,18 @@
+import errno
+import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import gmc
+import gmc.persist
 from gmc.cli import main, pca_2d
 from gmc.persist import load_checkpoint, read_matrix_csv, sha256_file
 
@@ -49,6 +53,18 @@ GOLDEN_TRAINING_OUTPUTS = {
     "sweep/run_003_tau0.2_loss_variantablated/dca.csv": "59a14fda50f246c2ade55c6837a88ea8099c6b104ff54a2329feb26620a9f18d",
     "sweep/run_003_tau0.2_loss_variantablated/loss_trace.csv": "7082713fe2c1812f1e9073dc0cdec805253d826a867f6ba33918cf46aa2046b6",
     "sweep/run_003_tau0.2_loss_variantablated/robustness.csv": "5dc73cde66250542b2b67466746afb114662ec4371de3211a53d4a83c375cc9f",
+}
+
+# Hashes of what eval-dca writes in TestGoldenEvalDca, frozen before the k-NN
+# graph lost its per-point loop. A change here means the graph, the scoring
+# or an output format drifted.
+GOLDEN_EVAL_DCA = {
+    "k5/report.json": "f64ad9388ab20a81ec770d2ee3e15f8c9da626788bb3175e215fcc1cb9f3fc78",
+    "k5/outliers.csv": "f80055b4738b24cc03b270e86082930ed910ac42034c4a206bf354d2975eef76",
+    "k5/pca2d.csv": "e084a76fef397630c0714ace79b8c3b7234e8c235a4af8294f8174e1da57567e",
+    "k1/report.json": "11a2782aaf4cbdd7e2d0a3dadb68af129e61de069829485175bc72747b84a938",
+    "k1/outliers.csv": "130ba72f08cca1083818561366cab05cbebd3c4169505c0a56a108f31f8e3a19",
+    "k1/pca2d.csv": "e084a76fef397630c0714ace79b8c3b7234e8c235a4af8294f8174e1da57567e",
 }
 
 SYNTH = {"n_samples": 200, "n_classes": 4, "modality_dims": [8, 6], "style_dim": 2, "seed": 3}
@@ -590,6 +606,124 @@ class TestTwins:
             assert blob == without[name], name
 
 
+class _CountingSha256:
+    """Stands in for `hashlib.sha256` and keeps the bytes each hash saw."""
+
+    def __init__(self):
+        self.inputs = []
+
+    def __call__(self, data=b""):
+        fed = [bytes(data)]
+        self.inputs.append(fed)
+        inner = hashlib.sha256(data)
+
+        class Hash:
+            def update(self, more):
+                fed.append(bytes(more))
+                inner.update(more)
+
+            def digest(self):
+                return inner.digest()
+
+            def hexdigest(self):
+                return inner.hexdigest()
+
+        return Hash()
+
+    def passes_over(self, path):
+        blob = Path(path).read_bytes()
+        return sum(b"".join(fed) == blob for fed in self.inputs)
+
+
+class TestInputHashes:
+    @pytest.mark.parametrize("command", ["train", "encode", "eval-dca", "eval-probe"])
+    def test_each_input_is_hashed_once(self, workdir, embeddings, tmp_path, monkeypatch, command):
+        data, ckpt = workdir / "data", workdir / "run" / "checkpoint.gmc"
+        dataset_inputs = [data / "modality_1.csv", data / "modality_2.csv", data / "labels.csv"]
+        train = write_json(tmp_path / "t.json", {**TRAIN, "epochs": 1})
+        probe = write_json(tmp_path / "p.json", {"epochs": 1, "hidden": [8]})
+        args, inputs = {
+            "train": (["--config", train, "--dataset", str(data)], dataset_inputs),
+            "encode": (["--checkpoint", str(ckpt), "--dataset", str(data), "--pathway", "1"], [ckpt] + dataset_inputs),
+            "eval-dca": (["--reference", str(embeddings[0]), "--evaluation", str(embeddings[1])], list(embeddings)),
+            "eval-probe": (["--checkpoint", str(ckpt), "--dataset", str(data), "--config", probe], [ckpt] + dataset_inputs),
+        }[command]
+        counter = _CountingSha256()
+        monkeypatch.setattr(gmc.persist, "hashlib", SimpleNamespace(sha256=counter))
+        assert main([command, *args, "--out", str(tmp_path / "o")]) == 0
+        monkeypatch.undo()
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())["inputs"]
+        recorded = {e["path"]: e["sha256"] for e in manifest.get("dataset", {}).values()}
+        recorded.update({e["path"]: e["sha256"] for k, e in manifest.items() if k != "dataset"})
+        for path in inputs:
+            assert counter.passes_over(path) == 1, path
+            assert recorded[str(path)] == sha256_file(path)
+
+
+def _failing_open(target):
+    """An `open` that, for `target` or its temporary sibling, writes half of
+    the first write and then fails as a full disk does."""
+    real_open = open
+
+    def fake(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        name = Path(file).name
+        if "w" not in mode or not (name == target or name.startswith(f".{target}.")):
+            return fh
+
+        class HalfWritten:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                fh.close()
+
+            def write(self, data):
+                fh.write(data[: len(data) // 2])
+                fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device", str(file))
+
+        return HalfWritten()
+
+    return fake
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize(
+        "command, target",
+        [
+            ("train", "checkpoint.gmc"),
+            ("train", "loss_trace.csv"),
+            ("encode", "embeddings.csv"),
+            ("encode", "embeddings.csv.f64"),
+            ("eval-dca", "report.json"),
+            ("eval-dca", "pca2d.csv"),
+            ("eval-dca", "manifest.json"),
+        ],
+    )
+    @pytest.mark.parametrize("before", ["absent", "present"])
+    def test_failed_write_leaves_old_file_or_none(self, workdir, embeddings, tmp_path, capsys, monkeypatch, command, target, before):
+        data = str(workdir / "data")
+        args = {
+            "train": ["--config", write_json(tmp_path / "t.json", {**TRAIN, "epochs": 1}), "--dataset", data],
+            "encode": ["--checkpoint", str(workdir / "run" / "checkpoint.gmc"), "--dataset", data, "--pathway", "1"],
+            "eval-dca": ["--reference", str(embeddings[0]), "--evaluation", str(embeddings[1])],
+        }[command] + ["--out", str(tmp_path / "o")]
+        if before == "present":
+            assert main([command, *args]) == 0
+            old = (tmp_path / "o" / target).read_bytes()
+        capsys.readouterr()
+        monkeypatch.setattr(gmc.persist, "open", _failing_open(target), raising=False)
+        assert main([command, *args]) == 3
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "No space left" in err and "Traceback" not in err
+        if before == "present":
+            assert (tmp_path / "o" / target).read_bytes() == old
+        else:
+            assert not (tmp_path / "o" / target).exists()
+        assert not [p.name for p in (tmp_path / "o").iterdir() if p.name.endswith(".tmp")]
+
+
 class TestReproducibility:
     def test_train_encode_eval_chain_is_byte_identical(self, tmp_path, monkeypatch):
         """Same commands, same relative paths, two working directories."""
@@ -671,6 +805,26 @@ class TestGoldenTrainingOutputs:
             if f.is_file() and f.name != "manifest.json"
         }
         assert got == GOLDEN_TRAINING_OUTPUTS
+
+
+class TestGoldenEvalDca:
+    def test_eval_dca_outputs_match_golden_hashes(self, workdir, tmp_path):
+        """Pins the bytes eval-dca writes: complete vs modality-1 embeddings of
+        every sample, 400 points, so the k-NN graph runs seven 64-row blocks
+        and the last one is partial."""
+        out_c, out_m = tmp_path / "all_c", tmp_path / "all_m"
+        assert run_encode(workdir, "complete", "all", out_c) == 0
+        assert run_encode(workdir, "1", "all", out_m) == 0
+        got = {}
+        for k in ("5", "1"):
+            out = tmp_path / f"k{k}"
+            code = main(
+                ["eval-dca", "--reference", str(out_c / "embeddings.csv"),
+                 "--evaluation", str(out_m / "embeddings.csv"), "--k", k, "--out", str(out)]
+            )
+            assert code == 0
+            got.update({f"k{k}/{name}": sha256_file(out / name) for name in ("report.json", "outliers.csv", "pca2d.csv")})
+        assert got == GOLDEN_EVAL_DCA
 
 
 class TestFloatConfigKeys:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,18 +40,32 @@ def random_labeled_graph(gen, n_max=10):
 
 def knn_cloud(kind, n, dim, scale_exponent, seed):
     """n points in `dim` dimensions: Gaussian, exact duplicates of a few
-    points, lattice points (exact distance ties) or lattice points moved by
-    a few ulps (near-ties), all scaled by 10**scale_exponent."""
+    points, lattice points (exact distance ties), lattice points moved by a
+    few ulps (near-ties), a Gaussian cloud translated by 10**6 along every
+    axis (`offset`), a Gaussian cloud with one point scaled by 10**12
+    (`outlier`), or a Gaussian cloud whose odd rows, the evaluation points
+    of the property test, are all one point (`collapsed`); all scaled by
+    10**scale_exponent, capped so that no coordinate exceeds 1e151 (which
+    leaves the clouds of coordinates up to 10 uncapped)."""
     gen = np.random.default_rng(seed)
     if kind == "duplicates":
         base = gen.normal(size=(max(1, n // 8), dim))
         pts = base[gen.integers(0, base.shape[0], n)]
-    elif kind == "gaussian":
-        pts = gen.normal(size=(n, dim))
-    else:
+    elif kind in ("lattice", "near_ties"):
         pts = np.round(gen.normal(size=(n, dim)) * 2.0) / 2.0
         if kind == "near_ties":
             pts += gen.integers(-4, 5, size=(n, dim)) * 2.0**-50
+    else:
+        pts = gen.normal(size=(n, dim))
+        if kind == "offset":
+            pts += 1e6
+        elif kind == "outlier":
+            pts[gen.integers(0, n)] *= 1e12
+        elif kind == "collapsed":
+            pts[1::2] = pts[1]
+    top = np.abs(pts).max()
+    if top > 0:
+        scale_exponent = min(scale_exponent, 151 - int(np.ceil(np.log10(top))))
     return pts * 10.0**scale_exponent
 
 
@@ -152,7 +167,9 @@ class TestBuildGraph:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        kind=st.sampled_from(["gaussian", "duplicates", "lattice", "near_ties"]),
+        kind=st.sampled_from(
+            ["gaussian", "duplicates", "lattice", "near_ties", "offset", "outlier", "collapsed"]
+        ),
         n=st.one_of(st.integers(2, 70), st.sampled_from([64, 65, 128, 130, 200])),
         dim=st.integers(1, 9),
         k_choice=st.sampled_from(["1", "2", "n-2", "n-1", "mid"]),
@@ -162,12 +179,34 @@ class TestBuildGraph:
     @example(kind="duplicates", n=130, dim=3, k_choice="2", scale_exponent=-150, seed=0)
     @example(kind="near_ties", n=130, dim=5, k_choice="n-2", scale_exponent=150, seed=1)
     @example(kind="lattice", n=65, dim=2, k_choice="n-1", scale_exponent=0, seed=2)
+    @example(kind="offset", n=130, dim=9, k_choice="2", scale_exponent=0, seed=3)
+    @example(kind="outlier", n=130, dim=4, k_choice="1", scale_exponent=-150, seed=4)
+    @example(kind="collapsed", n=200, dim=3, k_choice="2", scale_exponent=0, seed=5)
     def test_edges_match_per_point_loop(self, kind, n, dim, k_choice, scale_exponent, seed):
         k = {"1": 1, "2": 2, "n-2": n - 2, "n-1": n - 1, "mid": n // 2}[k_choice]
         k = min(max(k, 1), n - 1)
         pts = knn_cloud(kind, n, dim, scale_exponent, seed)
         cloud = LabeledPointCloud(pts, np.arange(n) % 2 == 0)
         assert build_graph(cloud, k).edges == knn_edges_loops(pts, k)
+
+    def test_collapsed_cloud_keeps_blocks_small(self):
+        # 2000 evaluation rows at one point make each of them keep the other
+        # 1999 as candidates: the exact distances must be taken in chunks
+        gen = np.random.default_rng(9)
+        n, dim = 4000, 16
+        evaluation = np.repeat(gen.normal(size=(1, dim)), 2000, axis=0)
+        cloud = LabeledPointCloud.from_sets(gen.normal(size=(2000, dim)), evaluation)
+        tracemalloc.start()
+        try:
+            graph = build_graph(cloud, k=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the GEMM block, the upper values, the candidate indices and their
+        # distances come to about six 64 x n float arrays
+        assert peak < 8 * (64 * n * 8)
+        collapsed = graph.component_of[2000:]
+        assert (collapsed == collapsed[0]).all()
 
     def test_no_self_loops_or_duplicates_by_construction(self):
         gen = np.random.default_rng(3)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,19 @@ class TestCrossEntropy:
         a = float(cross_entropy(Tensor(logits), y).data)
         b = float(cross_entropy(Tensor(logits + 1000.0), y).data)
         assert a == pytest.approx(b, abs=1e-9)
+
+    def test_one_hot_costs_no_identity(self):
+        # a C x C identity at C = 20,000 would be 3.2 GB; the (B, C) rows are 640 KB
+        b, c = 4, 20_000
+        logits = Tensor(np.zeros((b, c)))
+        tracemalloc.start()
+        try:
+            value = cross_entropy(logits, np.array([0, 1, c - 2, c - 1]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+        assert value.data == pytest.approx(math.log(c), rel=1e-12)
 
     def test_rejects_bad_labels(self):
         with pytest.raises(ConfigError):

@@ -189,7 +189,8 @@ class TestTwin:
         return path
 
     def _assert_ignored(self, path):
-        assert _read_twin(path, path.read_bytes()) is None
+        raw = path.read_bytes()
+        assert _read_twin(path, raw, hashlib.sha256(raw).digest()) is None
         with_twin = _outcome(path)
         shutil.move(twin_path(path), path.parent / "kept.f64")
         assert with_twin == _outcome(path)
