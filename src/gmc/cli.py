@@ -4,7 +4,7 @@ Every command writes its artifacts plus a manifest.json into --out; the
 manifest pins the resolved config and the content hash of each input and
 output file, and carries no timestamps, so re-running a command with the
 same inputs reproduces identical bytes. Configs are strict JSON objects:
-an unknown key is rejected by its path rather than silently ignored.
+an unknown key is rejected by its path, a repeated one by its name.
 
 Exit codes: 0 success, 2 config error, 3 data or format error, 4 numeric
 failure (non-finite loss or a degenerate embedding).
@@ -43,8 +43,8 @@ from .persist import (
     read_matrix_csv,
     save_checkpoint,
     save_dataset,
-    write_atomic,
     write_csv,
+    write_json,
     write_manifest,
 )
 from .synthdata import SynthConfig, generate
@@ -72,8 +72,17 @@ def _load_json_config(path) -> dict:
         raise ConfigError(str(path), f"cannot read config file: {err}") from err
     except UnicodeDecodeError as err:
         raise ConfigError(str(path), f"not UTF-8 text: {err}") from err
+
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(key, f"repeated in {path}")
+            obj[key] = value
+        return obj
+
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as err:
         raise ConfigError(str(path), f"not valid JSON: {err}") from err
     if not isinstance(obj, dict):
@@ -182,22 +191,20 @@ def cmd_gen_data(args) -> None:
     config = resolve_synth_config(_load_json_config(args.config), args.seed)
     dataset = generate(config)
     out = Path(args.out)
-    files = save_dataset(out, dataset)
-    outputs = {name: hash_entry(out / name) for name in files}
-    write_manifest(
-        out / "manifest.json", "gen-data", _jsonable(config), inputs={}, outputs=outputs
-    )
-    print(f"wrote {len(files)} dataset files to {args.out}")
+    written = save_dataset(out, dataset)
+    write_manifest(out / "manifest.json", "gen-data", _jsonable(config), inputs={}, outputs=written)
+    print(f"wrote {len(written)} dataset files to {args.out}")
 
 
 def _train_and_write(dataset, config: TrainConfig, model_kwargs: dict, out: Path):
-    """Build and train a model; write checkpoint.gmc and loss_trace.csv into `out`."""
+    """Build and train a model; write checkpoint.gmc and loss_trace.csv into
+    `out`. Returns the model, the training result and what was written."""
     dims = tuple(x.shape[1] for x in dataset.modalities)
     model = GmcModel.build(dims, **model_kwargs)
     result = train(model, dataset, config)
     out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out / "checkpoint.gmc", model)
-    write_csv(
+    written = save_checkpoint(out / "checkpoint.gmc", model)
+    written |= write_csv(
         out / "loss_trace.csv",
         ["epoch", "loss", "term_mean"],
         (
@@ -205,7 +212,7 @@ def _train_and_write(dataset, config: TrainConfig, model_kwargs: dict, out: Path
             for e, (loss, mean) in enumerate(zip(result.epoch_losses, result.epoch_term_means))
         ),
     )
-    return model, result
+    return model, result, written
 
 
 def cmd_train(args) -> None:
@@ -214,16 +221,14 @@ def cmd_train(args) -> None:
     )
     out = Path(args.out)
     digests = {}
-    model, result = _train_and_write(load_dataset(args.dataset, digests), config, model_kwargs, out)
+    dataset = load_dataset(args.dataset, digests)
+    model, result, written = _train_and_write(dataset, config, model_kwargs, out)
     write_manifest(
         out / "manifest.json",
         "train",
         {"train": _jsonable(config), "model": _jsonable(model_kwargs)},
         inputs={"dataset": _dataset_input_hashes(args.dataset, model.modality_count, digests)},
-        outputs={
-            "checkpoint.gmc": hash_entry(out / "checkpoint.gmc"),
-            "loss_trace.csv": hash_entry(out / "loss_trace.csv"),
-        },
+        outputs=written,
     )
     print(
         f"trained {config.epochs} epochs ({result.steps} steps); "
@@ -267,7 +272,7 @@ def cmd_encode(args) -> None:
             "checkpoint": hash_entry(args.checkpoint, digests),
             "dataset": _dataset_input_hashes(args.dataset, model.modality_count, digests),
         },
-        outputs={path.name: hash_entry(path) for path in written},
+        outputs=written,
     )
     print(f"encoded {z.shape[0]} samples ({args.split} split, pathway {args.pathway})")
 
@@ -312,16 +317,13 @@ def cmd_eval_dca(args) -> None:
     report = evaluate_alignment(reference, evaluation, k=args.k)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_atomic(
-        out / "report.json",
-        (json.dumps(report_as_dict(report, args.k), indent=2, sort_keys=True) + "\n").encode("utf-8"),
-    )
+    written = write_json(out / "report.json", report_as_dict(report, args.k))
     origins = ["R"] * reference.shape[0] + ["E"] * evaluation.shape[0]
-    write_csv(
+    written |= write_csv(
         out / "outliers.csv", ["vertex", "origin"], ((v, origins[v]) for v in report.outliers), "%d,%s"
     )
     proj = pca_2d(np.concatenate([reference, evaluation], axis=0))
-    write_csv(
+    written |= write_csv(
         out / "pca2d.csv", ["origin", "pc1", "pc2"], zip(origins, *proj.T.tolist()), "%s,%.17g,%.17g"
     )
     write_manifest(
@@ -332,9 +334,7 @@ def cmd_eval_dca(args) -> None:
             "reference": hash_entry(args.reference, digests),
             "evaluation": hash_entry(args.evaluation, digests),
         },
-        outputs={
-            name: hash_entry(out / name) for name in ("report.json", "outliers.csv", "pca2d.csv")
-        },
+        outputs=written,
     )
     print(
         f"harmonic {report.harmonic:.6g} "
@@ -345,13 +345,13 @@ def cmd_eval_dca(args) -> None:
 
 def _probe_and_write(model: GmcModel, dataset, config: ProbeConfig, out: Path):
     """Train a probe on complete-pathway train latents, score every pathway
-    on the test split and write robustness.csv into `out`."""
+    on the test split and write robustness.csv into `out`. Returns the
+    accuracy table and what was written."""
     z_train = model.encode_complete(dataset.complete_view("train")).data
     probe = train_probe(z_train, dataset.labels_view("train"), config=config)
     table = evaluate_robustness(model, probe, dataset, split="test")
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "robustness.csv", ["pathway", "accuracy"], table.accuracies.items())
-    return table
+    return table, write_csv(out / "robustness.csv", ["pathway", "accuracy"], table.accuracies.items())
 
 
 def cmd_eval_probe(args) -> None:
@@ -361,7 +361,7 @@ def cmd_eval_probe(args) -> None:
     dataset = load_dataset(args.dataset, digests)
     _check_model_matches_dataset(model, dataset)
     out = Path(args.out)
-    table = _probe_and_write(model, dataset, config, out)
+    table, written = _probe_and_write(model, dataset, config, out)
     write_manifest(
         out / "manifest.json",
         "eval-probe",
@@ -370,7 +370,7 @@ def cmd_eval_probe(args) -> None:
             "checkpoint": hash_entry(args.checkpoint, digests),
             "dataset": _dataset_input_hashes(args.dataset, model.modality_count, digests),
         },
-        outputs={"robustness.csv": hash_entry(out / "robustness.csv")},
+        outputs=written,
     )
     worst = table.worst_modality()
     print(f"probe accuracy: complete {table.complete:.4f}, worst modality {worst:.4f}")
@@ -425,33 +425,33 @@ def _grid_points(base: dict, axes: list[tuple[str, list]]) -> list[tuple[str, di
 
 
 def run_sweep_point(dataset_dir: str, run_dir: str, raw_config: dict) -> dict:
-    """Train one grid point and measure it: probe accuracies per pathway and
-    the DCA harmonic of each (complete, modality) embedding pair."""
+    """Train one grid point and measure it: probe accuracies per pathway,
+    the DCA harmonic of each (complete, modality) embedding pair and the
+    record of the point's manifest."""
     config, model_kwargs = resolve_train_config(raw_config, None, None)
     digests = {}
     dataset = load_dataset(dataset_dir, digests)
     out = Path(run_dir)
-    model, _ = _train_and_write(dataset, config, model_kwargs, out)
-    table = _probe_and_write(model, dataset, ProbeConfig(seed=config.seed), out)
+    model, _, written = _train_and_write(dataset, config, model_kwargs, out)
+    table, probed = _probe_and_write(model, dataset, ProbeConfig(seed=config.seed), out)
+    written |= probed
     z_complete = model.encode_complete(dataset.complete_view("test")).data
     harmonics = {}
     for m in range(model.modality_count):
         z_m = model.encode_modality(m, dataset.modality(m, "test")).data
         harmonics[f"modality_{m + 1}"] = evaluate_alignment(z_complete, z_m, k=5).harmonic
-    write_csv(out / "dca.csv", ["pathway", "harmonic"], sorted(harmonics.items()))
-    write_manifest(
+    written |= write_csv(out / "dca.csv", ["pathway", "harmonic"], sorted(harmonics.items()))
+    manifest = write_manifest(
         out / "manifest.json",
         "sweep-point",
         {"train": _jsonable(config), "model": _jsonable(model_kwargs)},
         inputs={"dataset": _dataset_input_hashes(dataset_dir, model.modality_count, digests)},
-        outputs={
-            name: hash_entry(out / name)
-            for name in ("checkpoint.gmc", "loss_trace.csv", "robustness.csv", "dca.csv")
-        },
+        outputs=written,
     )
     return {
         "probe_accuracy": dict(table.accuracies),
         "dca_harmonic": harmonics,
+        "manifest": manifest,
     }
 
 
@@ -508,18 +508,15 @@ def cmd_sweep(args) -> None:
     for m in range(1, modality_count + 1):
         pathway = f"modality_{m}"
         rows.append(("dca_harmonic", pathway, *(r["dca_harmonic"][pathway] for r in results)))
-    write_csv(out / "aggregate.csv", ["metric", "pathway", *labels], rows)
-
-    outputs = {"aggregate.csv": hash_entry(out / "aggregate.csv")}
-    for i, (label, _) in enumerate(points):
-        name = f"run_{i:03d}_{label}/manifest.json"
-        outputs[name] = hash_entry(out / name)
+    written = write_csv(out / "aggregate.csv", ["metric", "pathway", *labels], rows)
+    for r in results:
+        written |= r["manifest"]
     write_manifest(
         out / "manifest.json",
         "sweep",
         {"base": _jsonable(base), "axes": _jsonable(dict(axes))},
         inputs={"dataset": _dataset_input_hashes(args.dataset, modality_count, digests)},
-        outputs=outputs,
+        outputs=written,
     )
     print(f"swept {len(points)} grid points into {args.out}")
 

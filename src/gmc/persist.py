@@ -15,8 +15,9 @@ reader can reconstruct the exact double. There are two binary formats:
 
 Every file is written through `write_atomic`, so a write that fails part
 way leaves the old file or none under the final name, never a truncated
-one. The readers can record the sha256 of the bytes they parsed, so a
-manifest names exactly what a command read, without reading it again.
+one. Each writer returns `{path: sha256}` of the bytes it wrote, and the
+readers can record the sha256 of the bytes they parsed, so a manifest names
+exactly what a command read and wrote without reading any file again.
 """
 
 from __future__ import annotations
@@ -47,19 +48,12 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def write_atomic(path, data: bytes) -> Path:
+def write_atomic(path, data: bytes) -> dict[Path, str]:
     """Write `data` to a sibling temporary file and move it onto `path` in
     one step: a write that fails part way (a full disk, say) leaves the old
     file or no file under `path`, never a truncated one. It guards against
-    failed writes, not against power loss: nothing is fsynced."""
+    failed writes, not against power loss: nothing is fsynced. Returns
+    `{path: sha256 of data}`, the record a manifest lists."""
     path = Path(path)
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -69,7 +63,12 @@ def write_atomic(path, data: bytes) -> Path:
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
-    return path
+    return {path: hashlib.sha256(data).hexdigest()}
+
+
+def write_json(path, obj) -> dict[Path, str]:
+    """`obj` as indented JSON with sorted keys and a final newline."""
+    return write_atomic(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 # --- checkpoints ----------------------------------------------------------------
@@ -83,7 +82,7 @@ def _spec_from_header(obj: dict) -> EncoderSpec:
     return EncoderSpec(tuple(obj["widths"]), tuple(obj["activations"]))
 
 
-def save_checkpoint(path, model: GmcModel) -> None:
+def save_checkpoint(path, model: GmcModel) -> dict[Path, str]:
     params = model.parameters()
     header = {
         "version": CHECKPOINT_VERSION,
@@ -94,11 +93,12 @@ def save_checkpoint(path, model: GmcModel) -> None:
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     payload = model.flat_parameters().astype("<f8", copy=False).tobytes()
-    write_atomic(path, CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob + payload)
+    return write_atomic(path, CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob + payload)
 
 
 def load_checkpoint(path, digests: dict | None = None) -> GmcModel:
-    """Read a checkpoint; if `digests` is given, record the sha256 of the
+    """Read a checkpoint whose header lists exactly the model's parameters,
+    in declaration order; if `digests` is given, record the sha256 of the
     bytes read under `str(path)`."""
     raw = Path(path).read_bytes()
     if digests is not None:
@@ -128,23 +128,19 @@ def load_checkpoint(path, digests: dict | None = None) -> GmcModel:
             entries = [(str(e["name"]), tuple(e["shape"])) for e in header["parameters"]]
         except (KeyError, TypeError, ValueError, ConfigError) as err:
             raise FormatError(f"corrupt checkpoint header: missing or malformed field ({err})") from err
-        expected = model.parameters()
-        values = {}
-        for name, shape in entries:
-            if name not in expected or expected[name].shape != shape:
-                raise FormatError(f"checkpoint parameter {name!r} does not fit the model shape")
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(8 * count)
-            if len(raw) != 8 * count:
-                raise FormatError(f"checkpoint truncated in parameter {name!r}")
-            values[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
-            if not np.all(np.isfinite(values[name])):
-                raise FormatError(f"checkpoint parameter {name!r} holds a non-finite value")
-        if len(values) != len(expected):
-            raise FormatError("checkpoint is missing parameters")
+        if entries != [(name, p.shape) for name, p in model.parameters().items()]:
+            raise FormatError("checkpoint header does not list the model's parameters in declaration order")
+        size = 8 * model.parameter_count()
+        payload = fh.read(size)
+        if len(payload) != size:
+            raise FormatError(f"checkpoint truncated: payload holds {len(payload)} of {size} bytes")
         if fh.read(1):
             raise FormatError("trailing bytes after checkpoint payload")
-    model.replace_parameters(values)
+    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    model.replace_parameters(flat)
+    if not np.all(np.isfinite(flat)):
+        name = next(k for k, p in model.parameters().items() if not np.all(np.isfinite(p.data)))
+        raise FormatError(f"checkpoint parameter {name!r} holds a non-finite value")
     return model
 
 
@@ -166,8 +162,9 @@ def twin_path(path) -> Path:
     return Path(f"{path}.f64")
 
 
-def write_csv(path, header: list[str], rows, row_format: str | None = None) -> list[Path]:
-    """Header line plus one line per row; returns the paths written.
+def write_csv(path, header: list[str], rows, row_format: str | None = None) -> dict[Path, str]:
+    """Header line plus one line per row; returns `{path: sha256}` of each
+    file written.
 
     A 2-D float64 array is formatted in bulk ("%.17g" is the same conversion
     as `format_float`) and, if it has a row, also written to its twin, which
@@ -185,15 +182,15 @@ def write_csv(path, header: list[str], rows, row_format: str | None = None) -> l
         lines.extend(",".join(_cell(v) for v in row) for row in cells)
     else:
         lines.extend(row_format % tuple(row) for row in cells)
-    blob = ("\n".join(lines) + "\n").encode("utf-8")
-    path = write_atomic(path, blob)
-    if not (matrix and rows.shape[0]):
-        return [path]
-    payload = rows.astype("<f8", order="C", copy=False).tobytes()
-    twin = _TWIN_HEADER.pack(
-        TWIN_MAGIC, hashlib.sha256(blob).digest(), hashlib.sha256(payload).digest(), *rows.shape
-    )
-    return [path, write_atomic(twin_path(path), twin + payload)]
+    path = Path(path)
+    written = write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    if matrix and rows.shape[0]:
+        payload = rows.astype("<f8", order="C", copy=False).tobytes()
+        twin = _TWIN_HEADER.pack(
+            TWIN_MAGIC, bytes.fromhex(written[path]), hashlib.sha256(payload).digest(), *rows.shape
+        )
+        written |= write_atomic(twin_path(path), twin + payload)
+    return written
 
 
 def _read_twin(path, raw: bytes, raw_digest: bytes) -> tuple[list[str], np.ndarray] | None:
@@ -291,26 +288,30 @@ def read_matrix_csv(path, digests: dict | None = None) -> tuple[list[str], np.nd
 # --- manifests --------------------------------------------------------------------
 
 
-def hash_entry(path_as_given, digests: dict | None = None) -> dict:
-    """Manifest entry for a file: its path as given and its sha256, which
-    for an input is the one its reader recorded in `digests` while parsing
-    it, and for an output is read from the file."""
+def hash_entry(path_as_given, digests: dict) -> dict:
+    """Manifest entry for an input: its path as given and the sha256 its
+    reader recorded in `digests` while parsing it."""
     key = str(path_as_given)
-    return {"path": key, "sha256": sha256_file(key) if digests is None else digests[key]}
+    return {"path": key, "sha256": digests[key]}
 
 
-def write_manifest(path, command: str, config: dict, inputs: dict, outputs: dict) -> None:
-    """Record a command run: configs, input/output paths exactly as given,
-    and content hashes. Deliberately carries no timestamps or absolute paths
-    so identical runs produce identical bytes."""
+def write_manifest(path, command: str, config: dict, inputs: dict, outputs: dict) -> dict[Path, str]:
+    """Record a command run: configs, input paths exactly as given, and as
+    `outputs` the `{path: sha256}` records the writers returned, each listed
+    under its path relative to the manifest's directory. Deliberately carries
+    no timestamps or absolute paths so identical runs produce identical bytes."""
+    root = Path(path).parent
     manifest = {
         "command": command,
         "config": config,
         "inputs": inputs,
-        "outputs": outputs,
+        "outputs": {
+            p.relative_to(root).as_posix(): {"path": str(p), "sha256": digest}
+            for p, digest in outputs.items()
+        },
         "tool_version": __version__,
     }
-    write_atomic(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    return write_json(path, manifest)
 
 
 # --- dataset directories -----------------------------------------------------------
@@ -320,20 +321,20 @@ def modality_filename(m: int) -> str:
     return f"modality_{m + 1}.csv"
 
 
-def save_dataset(out_dir, dataset: MultimodalDataset) -> list[str]:
-    """One CSV (and its twin) per modality plus labels.csv; returns the
-    filenames written."""
+def save_dataset(out_dir, dataset: MultimodalDataset) -> dict[Path, str]:
+    """One CSV (and its twin) per modality plus labels.csv; returns
+    `{path: sha256}` of each file written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
+    written = {}
     for m, x in enumerate(dataset.modalities):
-        written += write_csv(out / modality_filename(m), [f"x{j}" for j in range(x.shape[1])], x)
-    written += write_csv(
+        written |= write_csv(out / modality_filename(m), [f"x{j}" for j in range(x.shape[1])], x)
+    written |= write_csv(
         out / "labels.csv",
         ["label", "is_train"],
         zip(dataset.labels, dataset.is_train),
     )
-    return [p.name for p in written]
+    return written
 
 
 def load_dataset(dataset_dir, digests: dict | None = None) -> MultimodalDataset:

@@ -324,7 +324,7 @@ def test_twin_matches_parse_and_cell_reader(rows, cols, non_finite, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.csv"
         written = write_csv(path, header, mat)
-        assert written == ([path, twin_path(path)] if rows else [path])
+        assert list(written) == ([path, twin_path(path)] if rows else [path])
         raw = path.read_bytes()
         trusted = _read_twin(path, raw, hashlib.sha256(raw).digest()) is not None
         assert trusted == (rows > 0 and bool(np.all(np.isfinite(mat))))

@@ -14,7 +14,7 @@ import pytest
 import gmc
 import gmc.persist
 from gmc.cli import main, pca_2d
-from gmc.persist import load_checkpoint, read_matrix_csv, sha256_file
+from gmc.persist import load_checkpoint, read_matrix_csv
 
 # Hashes of the default-config dataset, frozen at first build. A change here
 # means generation order or formatting drifted and old manifests are stale.
@@ -67,6 +67,20 @@ GOLDEN_EVAL_DCA = {
     "k1/pca2d.csv": "e084a76fef397630c0714ace79b8c3b7234e8c235a4af8294f8174e1da57567e",
 }
 
+# Hashes of every manifest.json the relative-path chain in TestReproducibility
+# writes, frozen while outputs were still hashed by reading them back. A
+# change here means a manifest's layout or a hash it records drifted.
+GOLDEN_MANIFESTS = {
+    "data/manifest.json": "e05557a7202a3beccdbb07cc197e14c39fd3d3cfb1c2a908f54f9746a23c8752",
+    "dca/manifest.json": "946305070e8372af6022d6c2505db8e2f5f841bc3a47f816ad58c6d16e74b3cb",
+    "emb/manifest.json": "96de79477793887f994facdc41159fdc54e570c1001b8ed32921912e6dfd4643",
+    "probe/manifest.json": "bde107e42dfb18e7c8becca981cfba756bfb13e13d5470ed862811a98347cd23",
+    "run/manifest.json": "6b2af5ee1698a718ffbde9ef21fc8d966d9618a06d88a2203671a387ecebc511",
+    "sweep/manifest.json": "8be322b3a98c611d39bf9643d5f5b3d3cc2c3f3ee3fc174cd1389ea2abdb8dad",
+    "sweep/run_000_tau0.1/manifest.json": "6c7d5962701e1c7ba84f9c70d778f771ad2c188a2e7b37952d706191da67a0e8",
+    "sweep/run_001_tau0.2/manifest.json": "884b048989d96e34609bb200993ece5d9383a539c82ac17ecfba2e80392b01bf",
+}
+
 SYNTH = {"n_samples": 200, "n_classes": 4, "modality_dims": [8, 6], "style_dim": 2, "seed": 3}
 TRAIN = {
     "epochs": 3,
@@ -80,6 +94,10 @@ TRAIN = {
 def write_json(path, obj):
     Path(path).write_text(json.dumps(obj))
     return str(path)
+
+
+def sha256_file(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -283,8 +301,23 @@ class TestEncode:
                 blob, lambda h: {**h, "parameters": [{"name": ["head/w0"], "shape": [16, 16]}]}
             ),
             lambda blob: blob[:-8] + np.array([np.nan], dtype="<f8").tobytes(),
+            lambda blob: _edit_header(
+                blob, lambda h: {**h, "parameters": h["parameters"] + [{"name": "head/b1", "shape": [16]}]}
+            )
+            + np.full(16, 7.0, dtype="<f8").tobytes(),
+            lambda blob: _edit_header(
+                blob, lambda h: {**h, "parameters": h["parameters"][1::-1] + h["parameters"][2:]}
+            ),
         ],
-        ids=["short-length", "array-header", "keyless-header", "list-parameter-name", "nan-weight"],
+        ids=[
+            "short-length",
+            "array-header",
+            "keyless-header",
+            "list-parameter-name",
+            "nan-weight",
+            "duplicate-parameter",
+            "reordered-parameters",
+        ],
     )
     def test_broken_checkpoint_is_a_format_error(self, workdir, tmp_path, capsys, corrupt):
         blob = corrupt((workdir / "run" / "checkpoint.gmc").read_bytes())
@@ -636,28 +669,42 @@ class _CountingSha256:
 
 
 class TestInputHashes:
-    @pytest.mark.parametrize("command", ["train", "encode", "eval-dca", "eval-probe"])
+    @pytest.mark.parametrize("command", ["gen-data", "train", "encode", "eval-dca", "eval-probe", "sweep"])
     def test_each_input_is_hashed_once(self, workdir, embeddings, tmp_path, monkeypatch, command):
+        """Each file a command reads is hashed once, in the read that parses
+        it, and each file its manifest lists as an output is hashed once, as
+        it is written. A sweep reads the data set once and again in each
+        grid point, so only its outputs are counted."""
         data, ckpt = workdir / "data", workdir / "run" / "checkpoint.gmc"
         dataset_inputs = [data / "modality_1.csv", data / "modality_2.csv", data / "labels.csv"]
+        synth = write_json(tmp_path / "s.json", SYNTH)
         train = write_json(tmp_path / "t.json", {**TRAIN, "epochs": 1})
         probe = write_json(tmp_path / "p.json", {"epochs": 1, "hidden": [8]})
+        sweep = write_json(tmp_path / "w.json", {**TRAIN, "epochs": 1, "tau": [0.1, 0.2]})
         args, inputs = {
+            "gen-data": (["--config", synth], []),
             "train": (["--config", train, "--dataset", str(data)], dataset_inputs),
             "encode": (["--checkpoint", str(ckpt), "--dataset", str(data), "--pathway", "1"], [ckpt] + dataset_inputs),
             "eval-dca": (["--reference", str(embeddings[0]), "--evaluation", str(embeddings[1])], list(embeddings)),
             "eval-probe": (["--checkpoint", str(ckpt), "--dataset", str(data), "--config", probe], [ckpt] + dataset_inputs),
+            "sweep": (["--config", sweep, "--dataset", str(data)], []),
         }[command]
+        monkeypatch.setenv("GMC_THREADS", "1")
         counter = _CountingSha256()
         monkeypatch.setattr(gmc.persist, "hashlib", SimpleNamespace(sha256=counter))
         assert main([command, *args, "--out", str(tmp_path / "o")]) == 0
         monkeypatch.undo()
-        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())["inputs"]
-        recorded = {e["path"]: e["sha256"] for e in manifest.get("dataset", {}).values()}
-        recorded.update({e["path"]: e["sha256"] for k, e in manifest.items() if k != "dataset"})
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        recorded = {e["path"]: e["sha256"] for e in manifest["inputs"].get("dataset", {}).values()}
+        recorded.update({e["path"]: e["sha256"] for k, e in manifest["inputs"].items() if k != "dataset"})
         for path in inputs:
             assert counter.passes_over(path) == 1, path
             assert recorded[str(path)] == sha256_file(path)
+        assert manifest["outputs"]
+        for name, entry in manifest["outputs"].items():
+            assert entry["path"] == str(tmp_path / "o" / name)
+            assert counter.passes_over(entry["path"]) == 1, name
+            assert entry["sha256"] == sha256_file(entry["path"])
 
 
 def _failing_open(target):
@@ -726,12 +773,15 @@ class TestAtomicWrites:
 
 class TestReproducibility:
     def test_train_encode_eval_chain_is_byte_identical(self, tmp_path, monkeypatch):
-        """Same commands, same relative paths, two working directories."""
+        """Same commands, same relative paths, two working directories; every
+        manifest, which holds the paths as given, matches GOLDEN_MANIFESTS."""
 
         def chain(world):
             world.mkdir()
             write_json(world / "synth.json", SYNTH)
             write_json(world / "train.json", {**TRAIN, "epochs": 2})
+            write_json(world / "probe.json", {"epochs": 2, "hidden": [8]})
+            write_json(world / "sweep.json", {**TRAIN, "epochs": 1, "tau": [0.1, 0.2]})
             monkeypatch.chdir(world)
             assert main(["gen-data", "--config", "synth.json", "--out", "data"]) == 0
             assert main(["train", "--config", "train.json", "--dataset", "data", "--out", "run"]) == 0
@@ -754,6 +804,9 @@ class TestReproducibility:
                 == 0
             )
             assert main(["eval-dca", "--reference", "emb/embeddings.csv", "--evaluation", "emb/embeddings.csv", "--out", "dca"]) == 0
+            assert main(["eval-probe", "--checkpoint", "run/checkpoint.gmc", "--dataset", "data", "--config", "probe.json", "--out", "probe"]) == 0
+            monkeypatch.setenv("GMC_THREADS", "1")
+            assert main(["sweep", "--config", "sweep.json", "--dataset", "data", "--out", "sweep"]) == 0
 
         chain(tmp_path / "a")
         chain(tmp_path / "b")
@@ -762,6 +815,8 @@ class TestReproducibility:
         assert files_a == files_b
         for rel in files_a:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes(), rel
+        got = {str(rel): sha256_file(tmp_path / "a" / rel) for rel in files_a if rel.name == "manifest.json"}
+        assert got == GOLDEN_MANIFESTS
 
 
 class TestGoldenTrainingOutputs:
@@ -847,6 +902,26 @@ class TestFloatConfigKeys:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "Traceback" not in err
+
+
+class TestRepeatedConfigKeys:
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            ("gen-data", '{"n_samples": 100, "n_samples": 60}', "n_samples"),
+            ("train", '{"epochs": 1, "model": {"d": 8}, "model": {"s": 8}}', "model"),
+            ("train", '{"epochs": 1, "model": {"d": 8, "hidden": 8, "d": 4}}', "d"),
+        ],
+        ids=["top-level", "two-model-sections", "nested"],
+    )
+    def test_repeated_key_is_a_config_error_naming_it(self, workdir, tmp_path, capsys, command, text, key):
+        (tmp_path / "dup.json").write_text(text)
+        args = [command, "--config", str(tmp_path / "dup.json"), "--out", str(tmp_path / "o")]
+        if command == "train":
+            args += ["--dataset", str(workdir / "data")]
+        assert main(args) == 2
+        assert f"'{key}': repeated in {tmp_path / 'dup.json'}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestEntryPoints:

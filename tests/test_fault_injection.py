@@ -103,10 +103,11 @@ def not_utf8(blob, chooser):
 @settings(FAST, max_examples=100)
 @given(
     kind=st.sampled_from(sorted(CONFIG_KEYS)),
-    fault=st.sampled_from(["wrong_value", "unknown_key", "model_value", "truncated", "not_utf8"]),
+    fault=st.sampled_from(["wrong_value", "unknown_key", "model_value", "duplicate_key", "truncated", "not_utf8"]),
     pick=st.integers(0, 2**32 - 1),
 )
 @example(kind="train", fault="not_utf8", pick=0)
+@example(kind="train", fault="duplicate_key", pick=0)
 def test_corrupted_config_is_rejected(inputs, kind, fault, pick):
     chooser = random.Random(pick)
     with workspace(inputs, kind) as work:
@@ -120,6 +121,12 @@ def test_corrupted_config_is_rejected(inputs, kind, fault, pick):
         elif fault == "unknown_key":
             config["k" + "".join(chooser.choice("abcdefgh_") for _ in range(chooser.randint(0, 6)))] = 1
         text = json.dumps(config)
+        if fault == "duplicate_key":
+            # repeat one key, with its own value, at the end of its object
+            key = chooser.choice(sorted(config) + sorted(config.get("model", {})))
+            owner = config if key in config else config["model"]
+            at = len(text) - 1 if owner is config else text.index("}")  # the model object's end
+            text = text[:at] + ", " + json.dumps({key: owner[key]})[1:-1] + text[at:]
         if fault == "truncated":
             text = text[: chooser.randrange(len(text) - 1)]
         blob = text.encode()

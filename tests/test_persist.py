@@ -18,9 +18,10 @@ from gmc.persist import (
     read_matrix_csv,
     save_checkpoint,
     save_dataset,
-    sha256_file,
     twin_path,
+    write_atomic,
     write_csv,
+    write_json,
     write_manifest,
 )
 from gmc.synthdata import SynthConfig, generate
@@ -102,6 +103,18 @@ class TestCheckpoint:
         (tmp_path / "fat.gmc").write_bytes(blob + b"\x00")
         with pytest.raises(FormatError, match="trailing"):
             load_checkpoint(tmp_path / "fat.gmc")
+
+    def test_non_finite_value_names_the_first_parameter_holding_one(self, model, tmp_path):
+        save_checkpoint(tmp_path / "m.gmc", model)
+        blob = bytearray((tmp_path / "m.gmc").read_bytes())
+        end = 8 + int.from_bytes(blob[4:8], "little")
+        first = json.loads(blob[8:end])["parameters"][0]
+        last_of_first = end + 8 * (int(np.prod(first["shape"])) - 1)
+        for at in (last_of_first, len(blob) - 8):
+            blob[at : at + 8] = np.array([np.inf], dtype="<f8").tobytes()
+        (tmp_path / "inf.gmc").write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"'{first['name']}' holds a non-finite value"):
+            load_checkpoint(tmp_path / "inf.gmc")
 
     def test_corrupt_header_rejected(self, model, tmp_path):
         save_checkpoint(tmp_path / "m.gmc", model)
@@ -289,9 +302,9 @@ class TestTwin:
         assert self._assert_ignored(path) == (["a", "b", "c"], (0,), b"")
 
     def test_no_twin_for_rows_that_are_not_a_float_matrix(self, tmp_path):
-        assert write_csv(tmp_path / "i.csv", ["a"], np.arange(3).reshape(3, 1)) == [tmp_path / "i.csv"]
-        assert write_csv(tmp_path / "t.csv", ["a", "b"], [(1.0, 2.0)]) == [tmp_path / "t.csv"]
-        assert write_csv(tmp_path / "e.csv", ["a"], np.empty((0, 1))) == [tmp_path / "e.csv"]
+        assert list(write_csv(tmp_path / "i.csv", ["a"], np.arange(3).reshape(3, 1))) == [tmp_path / "i.csv"]
+        assert list(write_csv(tmp_path / "t.csv", ["a", "b"], [(1.0, 2.0)])) == [tmp_path / "t.csv"]
+        assert list(write_csv(tmp_path / "e.csv", ["a"], np.empty((0, 1)))) == [tmp_path / "e.csv"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["e.csv", "i.csv", "t.csv"]
 
     def test_non_utf8_csv_is_a_data_error(self, csv):
@@ -334,21 +347,29 @@ class TestDatasetDirectory:
 
 
 class TestManifest:
-    def test_hash_matches_hashlib(self, tmp_path):
-        (tmp_path / "f.bin").write_bytes(b"abc" * 1000)
-        assert sha256_file(tmp_path / "f.bin") == hashlib.sha256(b"abc" * 1000).hexdigest()
+    def test_hash_matches_hashlib(self, tmp_path, model):
+        """Every writer returns the sha256 of the bytes now in each file."""
+        records = [
+            write_atomic(tmp_path / "f.bin", b"abc" * 1000),
+            write_json(tmp_path / "r.json", {"b": [1.5], "a": None}),
+            save_checkpoint(tmp_path / "m.gmc", model),
+            write_csv(tmp_path / "m.csv", ["a", "b"], np.arange(6.0).reshape(3, 2)),
+            write_csv(tmp_path / "t.csv", ["a"], [(1,), (2,)]),
+        ]
+        for record in records:
+            for path, digest in record.items():
+                assert digest == hashlib.sha256(path.read_bytes()).hexdigest(), path
+        assert sorted(p.name for r in records for p in r) == sorted(p.name for p in tmp_path.iterdir())
+        assert (tmp_path / "r.json").read_text() == '{\n  "a": null,\n  "b": [\n    1.5\n  ]\n}\n'
 
     def test_manifest_bytes_are_stable(self, tmp_path):
-        (tmp_path / "out.csv").write_text("a\n1\n")
+        (tmp_path / "sub").mkdir()
+        written = write_csv(tmp_path / "sub" / "out.csv", ["a"], [(1,)])
         for name in ("m1.json", "m2.json"):
-            write_manifest(
-                tmp_path / name,
-                "demo",
-                {"alpha": 1},
-                inputs={},
-                outputs={"out.csv": {"path": "out.csv", "sha256": sha256_file(tmp_path / "out.csv")}},
-            )
+            write_manifest(tmp_path / name, "demo", {"alpha": 1}, inputs={}, outputs=written)
         assert (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
+        entry = {"path": str(tmp_path / "sub" / "out.csv"), "sha256": written[tmp_path / "sub" / "out.csv"]}
+        assert json.loads((tmp_path / "m1.json").read_text())["outputs"] == {"sub/out.csv": entry}
 
     def test_manifest_carries_no_timestamps(self, tmp_path):
         write_manifest(tmp_path / "m.json", "demo", {"a": 1}, inputs={}, outputs={})
