@@ -424,13 +424,12 @@ def _grid_points(base: dict, axes: list[tuple[str, list]]) -> list[tuple[str, di
     return points
 
 
-def run_sweep_point(dataset_dir: str, run_dir: str, raw_config: dict) -> dict:
+def run_sweep_point(dataset, dataset_dir: str, digests: dict, run_dir: str, raw_config: dict) -> dict:
     """Train one grid point and measure it: probe accuracies per pathway,
     the DCA harmonic of each (complete, modality) embedding pair and the
-    record of the point's manifest."""
+    record of the point's manifest. `dataset` is the sweep's parse of
+    `dataset_dir`, and `digests` the sha256s that parse recorded."""
     config, model_kwargs = resolve_train_config(raw_config, None, None)
-    digests = {}
-    dataset = load_dataset(dataset_dir, digests)
     out = Path(run_dir)
     model, _, written = _train_and_write(dataset, config, model_kwargs, out)
     table, probed = _probe_and_write(model, dataset, ProbeConfig(seed=config.seed), out)
@@ -483,13 +482,12 @@ def cmd_sweep(args) -> None:
     digests = {}
     dataset = load_dataset(args.dataset, digests)
     modality_count = len(dataset.modalities)
-    del dataset
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     jobs = []
     for i, (label, raw_config) in enumerate(points):
         run_dir = out / f"run_{i:03d}_{label}"
-        jobs.append((args.dataset, str(run_dir), raw_config))
+        jobs.append((dataset, args.dataset, digests, str(run_dir), raw_config))
     workers = _worker_count(len(jobs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a sweep pays its import

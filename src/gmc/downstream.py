@@ -23,7 +23,14 @@ from .model import (
     init_mlp_params,
     mlp_forward,
 )
-from .tensor import Tensor, softmax_cross_entropy
+from .tensor import (
+    Tensor,
+    _record,
+    dense_backward,
+    dense_forward,
+    softmax_cross_entropy_backward,
+    softmax_cross_entropy_forward,
+)
 
 
 @dataclass(frozen=True)
@@ -85,19 +92,85 @@ class ProbeClassifier(ParameterSet):
         return float(np.mean(pred == y))
 
 
-def cross_entropy(logits: Tensor, y: np.ndarray) -> Tensor:
-    """Mean cross-entropy from raw (B, C) logits and integer labels, as one
-    tape node (`tensor.softmax_cross_entropy`)."""
-    b, c = logits.shape
-    y = np.asarray(y, dtype=np.int64)
-    if y.shape != (b,):
-        raise ShapeError("cross_entropy", logits.shape, y.shape)
-    if y.min() < 0 or y.max() >= c:
-        raise ConfigError("labels", "class index out of range")
-    # the one-hot rows directly: an identity would cost C x C floats per step
-    onehot = np.zeros((b, c))
-    onehot[np.arange(b), y] = 1.0
-    return softmax_cross_entropy(logits, onehot)
+class _Workspace:
+    """Every array one probe step of `batch` rows writes, allocated once."""
+
+    def __init__(self, batch: int, spec: EncoderSpec):
+        classes = spec.output_dim
+        self.x = np.empty((batch, spec.input_dim))
+        self.labels = np.empty(batch, dtype=np.int64)
+        self.rows = np.arange(batch)
+        self.onehot = np.zeros((batch, classes))
+        self.h = [np.empty((batch, width)) for width in spec.widths[1:]]  # each layer's output
+        self.gh = [np.empty((batch, width)) for width in spec.widths[1:-1]]  # dL/d(hidden output)
+        self.e = np.empty((classes, batch))
+        self.colsum = np.empty(batch)
+        self.glogits = np.empty((batch, classes))
+        self.scratch = np.empty((classes, batch))
+
+
+class ProbeLoss:
+    """`fit`'s loss for a probe: the mean softmax cross-entropy of a batch's
+    logits, with the whole ReLU MLP, as one tape node over every parameter.
+
+    The node computes with `tensor.dense_forward`/`dense_backward` and the
+    softmax cross-entropy functions, in the order the per-layer nodes use,
+    so it yields the bytes of `mlp_forward` followed by a cross-entropy
+    node. It writes the parameter gradients straight into the probe's
+    gradient buffer, and every activation, logit and gradient array into a
+    workspace kept per batch size: a step allocates nothing parameter-sized,
+    only a few batch-sized temporaries (relu masks, the picked logits).
+    Labels are checked once, here.
+    """
+
+    def __init__(self, probe: ProbeClassifier, z: np.ndarray, y: np.ndarray):
+        z = np.asarray(z, dtype=np.float64)
+        y = np.asarray(y, dtype=np.int64)
+        if z.ndim != 2 or z.shape[1] != probe.latent_dim or y.shape != z.shape[:1]:
+            raise ShapeError("probe_loss", z.shape, y.shape)
+        if y.size and (y.min() < 0 or y.max() >= probe.n_classes):
+            raise ConfigError("labels", "class index out of range")
+        self.probe, self.z, self.y = probe, z, y
+        self._workspaces: dict[int, _Workspace] = {}
+
+    def __call__(self, idx: np.ndarray) -> Tensor:
+        probe = self.probe
+        spec = probe.spec
+        batch = idx.size
+        ws = self._workspaces.get(batch)
+        if ws is None:
+            ws = self._workspaces[batch] = _Workspace(batch, spec)
+        leaves = tuple(probe._params.values())  # w0, b0, w1, b1, ...
+        grads = tuple(probe._grad_views.values())
+        last = spec.layer_count - 1
+        onehot = ws.onehot
+        onehot.fill(0.0)
+        onehot[ws.rows, np.take(self.y, idx, out=ws.labels)] = 1.0
+        hs = [np.take(self.z, idx, axis=0, out=ws.x)]
+        for layer in range(spec.layer_count):
+            w, b = leaves[2 * layer].data, leaves[2 * layer + 1].data
+            h, _ = dense_forward(hs[-1], w, b, "relu" if layer < last else None, out=ws.h[layer])
+            hs.append(h)
+        value, saved = softmax_cross_entropy_forward(hs[-1], onehot, ws.e, ws.colsum)
+
+        def bwd(g: np.ndarray):
+            g = softmax_cross_entropy_backward(g, onehot, saved, ws.glogits, ws.scratch)
+            for layer in range(last, -1, -1):
+                g, _, _ = dense_backward(
+                    g,
+                    hs[layer],
+                    leaves[2 * layer].data,
+                    "relu" if layer < last else None,
+                    hs[layer + 1],
+                    need_gx=layer > 0,
+                    gx=ws.gh[layer - 1] if layer > 0 else None,
+                    gw=grads[2 * layer],
+                    gb=grads[2 * layer + 1],
+                    overwrite_g=True,
+                )
+            return grads
+
+        return _record(Tensor._from_owned(np.asarray(value)), leaves, bwd)
 
 
 def train_probe(
@@ -114,10 +187,7 @@ def train_probe(
     if n_classes is None:
         n_classes = int(y_train.max()) + 1
     probe = ProbeClassifier(z_train.shape[1], n_classes, config.hidden, config.seed)
-
-    def loss_fn(idx):
-        return cross_entropy(probe.logits(z_train[idx]), y_train[idx])
-
+    loss_fn = ProbeLoss(probe, z_train, y_train)
     epochs = fit(probe, loss_fn, z_train.shape[0], config, rng.PROBE_SHUFFLE, 1, "probe loss")
     probe.training_losses = [float(np.mean([value for value, _ in steps])) for steps in epochs]
     return probe

@@ -102,8 +102,9 @@ class ParameterSet:
 
     The parameters are read-only views of one contiguous float64 buffer,
     laid out in declaration order; a checkpoint payload is that buffer's
-    bytes. Subclasses call `_init_parameters` in their constructor; holding,
-    counting, swapping and input-shape checks live here.
+    bytes. Their gradients are gathered into a second buffer with the same
+    layout. Subclasses call `_init_parameters` in their constructor;
+    holding, counting, swapping and input-shape checks live here.
     """
 
     _params: dict[str, Tensor]
@@ -118,14 +119,16 @@ class ParameterSet:
         self._bind(np.concatenate([np.ravel(v) for v in values.values()], dtype=np.float64))
 
     def _bind(self, flat: np.ndarray) -> None:
-        # Every parameter becomes a fresh gradient-tracked leaf, so stale
-        # gradients never leak across optimizer steps.
+        # Every parameter becomes a fresh gradient-tracked leaf over `flat`,
+        # and gets a view of the same place in a new gradient buffer.
         flat.setflags(write=False)
         self._flat = flat
-        self._params = {
-            name: Tensor._from_owned(flat[start:stop].reshape(shape), requires_grad=True)
-            for name, start, stop, shape in self._layout
-        }
+        self._grad = np.empty(flat.size)
+        self._params = {}
+        self._grad_views = {}
+        for name, start, stop, shape in self._layout:
+            self._params[name] = Tensor._from_owned(flat[start:stop].reshape(shape), requires_grad=True)
+            self._grad_views[name] = self._grad[start:stop].reshape(shape)
 
     def parameters(self) -> dict[str, Tensor]:
         return dict(self._params)
@@ -137,13 +140,24 @@ class ParameterSet:
         """Every parameter value in one read-only buffer, in declaration order."""
         return self._flat
 
-    def gradients(self, out: np.ndarray) -> np.ndarray:
-        """Fill `out` with every parameter's gradient laid out like
-        `flat_parameters()`; a parameter with no gradient contributes zeros."""
+    def gradients(self) -> np.ndarray:
+        """Every parameter's gradient in one buffer laid out like
+        `flat_parameters()`; a parameter with no gradient contributes zeros.
+
+        The buffer belongs to the set and is refilled by each call. A node
+        that writes a gradient straight into its `_grad_views` entry and
+        returns that view costs no copy here: numpy skips the assignment of
+        an array to itself.
+        """
+        out = self._grad
         for name, start, stop, _ in self._layout:
             grad = self._params[name].grad
             out[start:stop] = 0.0 if grad is None else grad.reshape(-1)
         return out
+
+    def clear_gradients(self) -> None:
+        for p in self._params.values():
+            p.grad = None
 
     def replace_parameters(self, values) -> None:
         """Swap in new parameter values.
@@ -348,11 +362,14 @@ class TrainResult:
 
 
 class _Sgd:
+    """p - lr * g, written over p; g is spent."""
+
     def __init__(self, config):
         self.lr = config.learning_rate
 
-    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        return params - self.lr * grad
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        np.multiply(grad, self.lr, out=grad)
+        np.subtract(params, grad, out=params)
 
 
 class _Adam:
@@ -363,7 +380,9 @@ class _Adam:
         m = b1 * m + (1 - b1) * g
         v = b2 * v + ((1 - b2) * g) * g
         p - (lr * (m / (1 - b1^t))) / (sqrt(v / (1 - b2^t)) + eps)
-    The new parameters go to a fresh buffer, so no existing tensor changes.
+    The new values overwrite `params`. Once v is updated the gradient is
+    spent, and its buffer holds the denominator, so a step touches five
+    parameter-sized arrays: params, grad, m, v and one scratch.
     """
 
     def __init__(self, config, size: int):
@@ -372,26 +391,29 @@ class _Adam:
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
-        self._s1 = np.empty(size)
-        self._s2 = np.empty(size)
+        self._s = np.empty(size)
 
-    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
-        m, v, s1, s2 = self.m, self.v, self._s1, self._s2
+        m, v, s = self.m, self.v, self._s
         np.multiply(m, self.b1, out=m)
-        np.multiply(grad, 1.0 - self.b1, out=s1)
-        np.add(m, s1, out=m)
+        np.multiply(grad, 1.0 - self.b1, out=s)
+        np.add(m, s, out=m)
         np.multiply(v, self.b2, out=v)
-        np.multiply(grad, 1.0 - self.b2, out=s1)
-        np.multiply(s1, grad, out=s1)
-        np.add(v, s1, out=v)
-        np.divide(m, 1.0 - self.b1**self.t, out=s1)
-        np.multiply(s1, self.lr, out=s1)
-        np.divide(v, 1.0 - self.b2**self.t, out=s2)
-        np.sqrt(s2, out=s2)
-        np.add(s2, self.eps, out=s2)
-        np.divide(s1, s2, out=s1)
-        return np.subtract(params, s1)
+        np.multiply(grad, 1.0 - self.b2, out=s)
+        np.multiply(s, grad, out=s)
+        np.add(v, s, out=v)
+        correction = 1.0 - self.b1**self.t
+        if correction == 1.0:  # from t = 356 at b1 = 0.9; x / 1.0 == x for every double
+            np.multiply(m, self.lr, out=s)
+        else:
+            np.divide(m, correction, out=s)
+            np.multiply(s, self.lr, out=s)
+        np.divide(v, 1.0 - self.b2**self.t, out=grad)
+        np.sqrt(grad, out=grad)
+        np.add(grad, self.eps, out=grad)
+        np.divide(s, grad, out=s)
+        np.subtract(params, s, out=params)
 
 
 def fit(
@@ -412,10 +434,15 @@ def fit(
     domain error aborts with a NumericError that names `what` failed, the
     epoch, the step and the shuffle seed. Returns, per epoch, the (loss,
     batch size) of every step taken.
+
+    The parameters are bound once, over a copy of their buffer that the
+    optimizer then updates in place through the writable original while the
+    set holds a read-only view: tensors taken from `params` before the call
+    keep their values, and those bound here change with every step.
     """
-    size = params.parameter_count()
-    optimizer = _Adam(config, size) if config.optimizer == "adam" else _Sgd(config)
-    grad = np.empty(size)
+    flat = params.flat_parameters().copy()
+    params.replace_parameters(flat.view())
+    optimizer = _Adam(config, flat.size) if config.optimizer == "adam" else _Sgd(config)
     epochs = []
     step = 0
     for epoch in range(config.epochs):
@@ -444,8 +471,8 @@ def fit(
                         step=step,
                     ) from err
             if config.learning_rate > 0:
-                new = optimizer.step(params.flat_parameters(), params.gradients(grad))
-                params.replace_parameters(new)
+                optimizer.step(flat, params.gradients())
+            params.clear_gradients()
             steps.append((value, idx.size))
             step += 1
         epochs.append(steps)

@@ -1,13 +1,22 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The engine is deliberately small: a `Tensor` wraps an immutable numpy
-array, primitives compute with numpy and append a backward closure to the
-active `Tape`, and `Tape.backward` walks the recorded operations once in
-reverse order, accumulating gradients additively across fan-out.
+The engine is deliberately small: a `Tensor` wraps a read-only numpy array,
+nodes compute with numpy and append a backward closure to the active
+`Tape`, and `Tape.backward` walks the recorded operations once in reverse
+order, accumulating gradients additively across fan-out.
 
-Tensors are immutable after creation except for their `grad` buffer, so a
-tape and the tensors it references can be shared freely with readers on
-other threads once the forward pass is done.
+A tensor's data is read-only to everyone who holds it. The one exception
+is a parameter that `model.fit` is training: it is a view of the buffer
+that the optimizer updates in place after each step. Every other tensor
+keeps the values it was created with, so a tape and the tensors it
+references can be shared with readers on other threads once the forward
+pass is done, as long as no fit is updating the parameters they view.
+
+The arithmetic of a dense layer and of the softmax cross-entropy lives in
+plain array functions (`dense_forward`, `dense_backward`,
+`softmax_cross_entropy_forward`, `softmax_cross_entropy_backward`). The
+`dense` node and the probe's fused node (`downstream.ProbeLoss`) both call
+them, so each float operation is written, and ordered, in one place.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ _ACTIVE_TAPE: contextvars.ContextVar["Tape | None"] = contextvars.ContextVar(
 
 
 class Tensor:
-    """An immutable float64 array, optionally tracked for gradients."""
+    """A read-only float64 array, optionally tracked for gradients."""
 
     __slots__ = ("data", "requires_grad", "grad")
 
@@ -143,10 +152,46 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], bwd: Callable) -> Tensor:
     return out
 
 
-# --- primitives ------------------------------------------------------------
+# --- layers and nodes ------------------------------------------------------
 
 
 ACTIVATIONS = ("relu", "swish")
+
+
+def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, activation: str | None = None, out=None):
+    """act((x @ w) + b) on arrays, written into `out` when it is given.
+
+    Returns the output and what `dense_backward` needs of the activation: a
+    relu's output, which is positive exactly where its input is, or a
+    swish's input and sigmoid. A relu or linear layer allocates nothing
+    when `out` is given.
+    """
+    pre = np.matmul(x, w, out=out)
+    pre += b
+    if activation == "relu":
+        out = np.maximum(pre, 0.0, out=pre)
+        return out, out
+    if activation == "swish":
+        sig = 1.0 / (1.0 + np.exp(-pre))
+        return pre * sig, (pre, sig)
+    return pre, None
+
+
+def dense_backward(g, x, w, activation, saved, need_gx=True, gx=None, gw=None, gb=None, overwrite_g=False):
+    """(dL/dx, dL/dw, dL/db) of a `dense_forward` layer from g = dL/d(output).
+
+    Each gradient is written into its buffer when one is given. dL/dx is
+    skipped (None) unless `need_gx`: it is never formed for a network's
+    input layer. A relu masks g in place when `overwrite_g` allows it.
+    """
+    if activation == "relu":
+        # Subgradient at exactly zero is zero.
+        g = np.multiply(g, saved > 0.0, out=g if overwrite_g else None)
+    elif activation == "swish":
+        pre, sig = saved
+        g = g * (sig * (1.0 + pre * (1.0 - sig)))
+    gx = np.matmul(g, w.T, out=gx) if need_gx else None
+    return gx, np.matmul(x.T, g, out=gw), g.sum(axis=0, out=gb)
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Tensor:
@@ -154,64 +199,55 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Ten
 
     `activation` is "relu", "swish" (x * sigmoid(x)) or None for a linear
     layer. The backward returns exactly the arrays a matmul, bias-add and
-    activation chain would, and skips each product whose input needs no
-    gradient: g @ w.T is never formed for a network's input layer.
+    activation chain would, and skips g @ w.T when x needs no gradient.
     """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError("dense", x.shape, w.shape, b.shape)
     if activation is not None and activation not in ACTIVATIONS:
         raise ContractError(f"unknown activation {activation!r}")
-    pre = x.data @ w.data
-    pre += b.data
-    if activation == "relu":
-        out = np.maximum(pre, 0.0)
-    elif activation == "swish":
-        sig = 1.0 / (1.0 + np.exp(-pre))
-        out = pre * sig
-    else:
-        out = pre
+    out, saved = dense_forward(x.data, w.data, b.data, activation)
 
     def bwd(g: np.ndarray):
-        if activation == "relu":
-            # Subgradient at exactly zero is zero.
-            g = g * (pre > 0.0)
-        elif activation == "swish":
-            g = g * (sig * (1.0 + pre * (1.0 - sig)))
-        gx = g @ w.data.T if x.requires_grad else None
-        gw = x.data.T @ g if w.requires_grad else None
-        return (gx, gw, g.sum(axis=0))
+        return dense_backward(g, x.data, w.data, activation, saved, need_gx=x.requires_grad)
 
     return _record(Tensor._from_owned(out), (x, w, b), bwd)
 
 
-def softmax_cross_entropy(logits: Tensor, onehot: np.ndarray) -> Tensor:
+def softmax_cross_entropy_forward(logits: np.ndarray, onehot: np.ndarray, e=None, colsum=None):
     """Mean cross-entropy of (B, C) raw logits against (B, C) one-hot rows.
 
-    Each row's log-sum-exp is shifted by the row maximum, which changes no
-    value. The exponentials are taken in the (C, B) transpose and summed
-    down its columns: that layout fixes the order of every summation, and
-    with it the trained bytes. The gradient is (softmax - onehot) / B,
-    computed in that same layout.
+    Returns the value and (e, colsum), which the backward needs; `e` (C, B)
+    and `colsum` (B,) are written into the buffers given. Each row's
+    log-sum-exp is shifted by the row maximum, which changes no value. The
+    exponentials are taken in the (C, B) transpose and summed down its
+    columns: that layout fixes the order of every summation, and with it
+    the trained bytes.
     """
-    if logits.data.ndim != 2 or onehot.shape != logits.shape:
+    if logits.ndim != 2 or onehot.shape != logits.shape:
         raise ShapeError("softmax_cross_entropy", logits.shape, onehot.shape)
     b = logits.shape[0]
-    shifts = logits.data.max(axis=1)
-    e = np.array(logits.data.T, order="C")
-    e += -shifts
+    shifts = logits.max(axis=1)
+    if e is None:
+        e = np.array(logits.T, order="C")
+    else:
+        np.copyto(e, logits.T)
+    e -= shifts
     np.exp(e, out=e)
-    colsum = np.sum(e, axis=0)
-    if not np.all(colsum > 0.0):
+    colsum = e.sum(axis=0, out=colsum)
+    if not (colsum > 0.0).all():
         raise DomainError(f"softmax_cross_entropy: non-positive exponential sum (min {colsum.min()})")
-    lse_total = np.sum(np.log(colsum)) + shifts.sum()
-    picked = np.asarray(float(np.sum(logits.data * onehot)))
-    out = Tensor._from_owned((lse_total + picked * -1.0) * (1.0 / b))
+    lse_total = float(np.log(colsum).sum()) + float(shifts.sum())
+    picked = float((logits * onehot).sum())
+    return (lse_total + picked * -1.0) * (1.0 / b), (e, colsum)
 
-    def bwd(g: np.ndarray):
-        s = g * (1.0 / b)
-        return (float(s * -1.0) * onehot + (e * (s / colsum)).T,)
 
-    return _record(out, (logits,), bwd)
+def softmax_cross_entropy_backward(g, onehot: np.ndarray, saved, out=None, scratch=None) -> np.ndarray:
+    """dL/dlogits = g * (softmax - onehot) / B, computed in the forward's
+    (C, B) layout; `out` (B, C) and `scratch` (C, B) are written when given."""
+    e, colsum = saved
+    s = g * (1.0 / colsum.shape[0])
+    gl = np.multiply(onehot, float(s * -1.0), out=out)
+    return np.add(gl, np.multiply(e, s / colsum, out=scratch).T, out=gl)
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, step: float = 1e-6) -> float:

@@ -7,8 +7,8 @@ mathematics. The exceptions are references that production code must match
 bit for bit, so they keep the straightforward arithmetic it reproduces:
 `knn_edges_loops` (k-NN edges on ties and near-ties, one numpy distance row
 per point) and, at the end of this file, the tape primitives, chains, dict
-optimizers and CSV reader and writer that the fused and flat versions
-replaced.
+optimizers, the per-layer probe training and the CSV reader and writer that
+the fused and flat versions replaced.
 """
 
 import math
@@ -18,8 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from gmc.errors import ContractError, DataError, DegenerateVectorError, DomainError, ShapeError
-from gmc.tensor import Tensor, _record
+from gmc import rng
+from gmc.downstream import ProbeClassifier
+from gmc.errors import ConfigError, ContractError, DataError, DegenerateVectorError, DomainError, ShapeError
+from gmc.tensor import Tape, Tensor, _record
 
 
 def cos_loops(u, v):
@@ -402,6 +404,87 @@ class AdamDict:
             v_hat = v / (1.0 - self.b2**self.t)
             updated[name] = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
         return updated
+
+
+def softmax_cross_entropy(logits, onehot):
+    """Mean cross-entropy of (B, C) logits against one-hot rows as one tape
+    node, written out before its arithmetic moved into plain functions."""
+    if logits.data.ndim != 2 or onehot.shape != logits.shape:
+        raise ShapeError("softmax_cross_entropy", logits.shape, onehot.shape)
+    b = logits.shape[0]
+    shifts = logits.data.max(axis=1)
+    e = np.array(logits.data.T, order="C")
+    e += -shifts
+    np.exp(e, out=e)
+    colsum = np.sum(e, axis=0)
+    if not np.all(colsum > 0.0):
+        raise DomainError(f"softmax_cross_entropy: non-positive exponential sum (min {colsum.min()})")
+    lse_total = np.sum(np.log(colsum)) + shifts.sum()
+    picked = np.asarray(float(np.sum(logits.data * onehot)))
+    out = Tensor._from_owned((lse_total + picked * -1.0) * (1.0 / b))
+
+    def bwd(g):
+        s = g * (1.0 / b)
+        return (float(s * -1.0) * onehot + (e * (s / colsum)).T,)
+
+    return _record(out, (logits,), bwd)
+
+
+def cross_entropy(logits, y):
+    """Mean cross-entropy from raw logits and integer labels, checked and
+    turned into one-hot rows on every call."""
+    b, c = logits.shape
+    y = np.asarray(y, dtype=np.int64)
+    if y.shape != (b,):
+        raise ShapeError("cross_entropy", logits.shape, y.shape)
+    if y.min() < 0 or y.max() >= c:
+        raise ConfigError("labels", "class index out of range")
+    onehot = np.zeros((b, c))
+    onehot[np.arange(b), y] = 1.0
+    return softmax_cross_entropy(logits, onehot)
+
+
+def fit_fresh(params, loss_fn, n, config, purpose, min_batch):
+    """`model.fit` before it trained in place: every step makes a fresh
+    parameter buffer, with fresh leaves over it, through the dict
+    optimizers. Returns, per epoch, the (loss, batch size) of every step."""
+    lr = config.learning_rate
+    if config.optimizer == "adam":
+        optimizer = AdamDict(lr, config.adam_beta1, config.adam_beta2, config.adam_eps)
+    else:
+        optimizer = SgdDict(lr)
+    epochs = []
+    for epoch in range(config.epochs):
+        perm = rng.stream(config.seed, purpose, epoch).permutation(n)
+        steps = []
+        for start in range(0, n, config.batch_size):
+            idx = perm[start : start + config.batch_size]
+            if idx.size < min_batch:
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                with Tape() as tape:
+                    loss = loss_fn(idx)
+                tape.backward(loss)
+            if lr > 0:
+                params.replace_parameters(optimizer.step(params.parameters()))
+            steps.append((float(loss.data), idx.size))
+        epochs.append(steps)
+    return epochs
+
+
+def train_probe_4_nodes(z, y, n_classes, config):
+    """`downstream.train_probe` as four tape nodes a step: the three dense
+    nodes of `mlp_forward` and `cross_entropy`, trained by `fit_fresh`."""
+    z = np.asarray(z, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    probe = ProbeClassifier(z.shape[1], n_classes, config.hidden, config.seed)
+
+    def loss_fn(idx):
+        return cross_entropy(probe.logits(z[idx]), y[idx])
+
+    epochs = fit_fresh(probe, loss_fn, z.shape[0], config, rng.PROBE_SHUFFLE, 1)
+    probe.training_losses = [float(np.mean([value for value, _ in steps])) for steps in epochs]
+    return probe
 
 
 def _cell(value):

@@ -1,8 +1,9 @@
 """The fused and flat code paths against the code they replaced, byte for byte.
 
-`dense`, `softmax_cross_entropy`, the one-node contrastive loss, the flat
-optimizers, the bulk CSV reader and writer, the binary CSV twin and
-`rng.per_index` each promise the exact bytes of a longer path kept in
+`dense`, the softmax cross-entropy functions, the one-node contrastive
+loss, the one-node probe step and the probe training around it, the
+in-place optimizers, the bulk CSV reader and writer, the binary CSV twin
+and `rng.per_index` each promise the exact bytes of a longer path kept in
 `tests/_oracles.py`. Every comparison here is on `tobytes()`,
 so a single changed rounding fails.
 """
@@ -13,23 +14,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
     AdamDict,
     SgdDict,
+    cross_entropy,
     cross_entropy_chain,
     dense_chain,
     dot,
     mlp_chain,
     mnt_xent_chain,
     read_matrix_csv_cells,
+    train_probe_4_nodes,
     write_csv_cells,
 )
 from gmc import rng
 from gmc import tensor as T
-from gmc.downstream import ProbeClassifier, ProbeConfig, cross_entropy
+from gmc.downstream import ProbeClassifier, ProbeConfig, ProbeLoss, train_probe
 from gmc.errors import DataError, DegenerateVectorError, ShapeError
 from gmc.loss import RepresentationBatch, mnt_xent, mnt_xent_ablated
 from gmc.model import GmcModel, _Adam, _Sgd, batch_loss, mlp_forward
@@ -84,9 +87,13 @@ def test_dense_matches_matmul_add_activation_chain(batch, n_in, n_out, activatio
     seed=st.integers(0, 2**32 - 1),
 )
 def test_cross_entropy_matches_eleven_node_chain(batch, classes, log_scale, seed):
+    """The plain forward and backward functions, with and without buffers,
+    against the chain and the one-node cross-entropy they replaced."""
     gen = np.random.default_rng(seed)
     logits = gen.normal(size=(batch, classes)) * 10.0**log_scale
     y = gen.integers(classes, size=batch)
+    onehot = np.zeros((batch, classes))
+    onehot[np.arange(batch), y] = 1.0
 
     def run(loss_fn):
         t = Tensor(logits, requires_grad=True)
@@ -95,7 +102,18 @@ def test_cross_entropy_matches_eleven_node_chain(batch, classes, log_scale, seed
         tape.backward(loss)
         return _bytes(loss.data), _bytes(t.grad)
 
-    assert run(cross_entropy) == run(cross_entropy_chain)
+    def plain(buffers):
+        e = colsum = out = scratch = None
+        if buffers:
+            e, scratch = np.empty((classes, batch)), np.empty((classes, batch))
+            colsum, out = np.empty(batch), np.empty((batch, classes))
+        value, saved = T.softmax_cross_entropy_forward(logits, onehot, e, colsum)
+        grad = T.softmax_cross_entropy_backward(np.ones(()), onehot, saved, out, scratch)
+        return _bytes(np.asarray(value)), _bytes(grad)
+
+    reference = run(cross_entropy_chain)
+    assert run(cross_entropy) == reference
+    assert plain(False) == plain(True) == reference
 
 
 # --- contrastive loss ----------------------------------------------------------
@@ -175,23 +193,67 @@ def test_gmc_step_matches_chain_with_78_nodes(batch):
             assert _bytes(p.grad) == _bytes(old[name].grad), (nodes, name)
 
 
-def test_probe_step_matches_chain_with_4_nodes():
+@pytest.mark.parametrize("batch", [64, 5])
+def test_probe_step_matches_chain_with_1_node(batch):
+    """One default probe step as 1 node, as the 4 of dense layers and the
+    cross-entropy node, and as the 19 of matmul, bias-add, activation and
+    cross-entropy chains."""
     gen = np.random.default_rng(9)
     probe = ProbeClassifier(64, 10, seed=2)
-    z, y = gen.normal(size=(64, 64)), gen.integers(10, size=64)
+    z, y = gen.normal(size=(70, 64)), gen.integers(10, size=70)
+    idx = gen.permutation(70)[:batch]
     with Tape() as tape:
-        loss = cross_entropy(probe.logits(z), y)
+        loss = ProbeLoss(probe, z, y)(idx)
     tape.backward(loss)
-    assert len(tape) == 4
+    assert len(tape) == 1
 
-    old = _leaf_copies(probe.parameters())
-    with Tape() as old_tape:
-        old_loss = cross_entropy_chain(mlp_chain(probe.spec, old, "probe", Tensor(z)), y)
-    old_tape.backward(old_loss)
-    assert len(old_tape) == 19
-    assert loss.data.tobytes() == old_loss.data.tobytes()
-    for name, p in probe.parameters().items():
-        assert _bytes(p.grad) == _bytes(old[name].grad), name
+    for (mlp, ce), nodes in (((mlp_forward, cross_entropy), 4), ((mlp_chain, cross_entropy_chain), 19)):
+        old = _leaf_copies(probe.parameters())
+        with Tape() as old_tape:
+            old_loss = ce(mlp(probe.spec, old, "probe", Tensor(z[idx])), y[idx])
+        old_tape.backward(old_loss)
+        assert len(old_tape) == nodes
+        assert loss.data.tobytes() == old_loss.data.tobytes()
+        for name, p in probe.parameters().items():
+            assert _bytes(p.grad) == _bytes(old[name].grad), (nodes, name)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    epochs=st.integers(1, 3),
+    batch_size=st.one_of(st.just(1), st.just(64), st.integers(2, 63)),
+    n=st.integers(1, 150),
+    latent=st.integers(1, 6),
+    classes=st.integers(2, 5),
+    hidden=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+    optimizer=st.sampled_from(["adam", "sgd"]),
+    learning_rate=st.sampled_from([0.0, 1e-3, 0.05]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# 390 Adam steps: past t = 356, where 1 - 0.9**t rounds to 1.0
+@example(
+    epochs=3, batch_size=1, n=130, latent=3, classes=3, hidden=[4, 3], optimizer="adam", learning_rate=1e-3, seed=0
+)
+def test_train_probe_matches_4_node_path(
+    epochs, batch_size, n, latent, classes, hidden, optimizer, learning_rate, seed
+):
+    """Whole probe trainings, the trailing partial batch included: one node
+    a step and in-place updates against four nodes a step and a fresh
+    parameter buffer a step."""
+    gen = np.random.default_rng(seed)
+    z, y = gen.normal(size=(n, latent)), gen.integers(classes, size=n)
+    config = ProbeConfig(
+        epochs=epochs,
+        batch_size=batch_size,
+        learning_rate=learning_rate,
+        hidden=tuple(hidden),
+        seed=seed % 1000,
+        optimizer=optimizer,
+    )
+    new = train_probe(z, y, classes, config)
+    old = train_probe_4_nodes(z, y, classes, config)
+    assert new.flat_parameters().tobytes() == old.flat_parameters().tobytes()
+    assert np.array(new.training_losses).tobytes() == np.array(old.training_losses).tobytes()
 
 
 # --- optimizers ------------------------------------------------------------------
@@ -210,6 +272,8 @@ _GRAD_KINDS = ("missing", "zero", "negative_zero", "normal")
     seed=st.integers(0, 2**32 - 1),
 )
 def test_flat_optimizers_match_dict_optimizers(optimizer, lr, b1, b2, eps, steps, seed):
+    """The in-place optimizers over the set's gradient buffer, stepped as
+    `fit` steps them, against one update per named parameter."""
     gen = np.random.default_rng(seed)
     config = ProbeConfig(learning_rate=lr, adam_beta1=b1, adam_beta2=b2, adam_eps=eps, optimizer=optimizer)
     probe = ProbeClassifier(3, 4, hidden=(5,), seed=seed % 1000)
@@ -217,7 +281,8 @@ def test_flat_optimizers_match_dict_optimizers(optimizer, lr, b1, b2, eps, steps
     flat = _Adam(config, size) if optimizer == "adam" else _Sgd(config)
     reference = AdamDict(lr, b1, b2, eps) if optimizer == "adam" else SgdDict(lr)
     values = {name: p.data.copy() for name, p in probe.parameters().items()}
-    buffer = np.empty(size)
+    trained = probe.flat_parameters().copy()
+    probe.replace_parameters(trained.view())
     for _ in range(steps):
         old = {name: Tensor(v) for name, v in values.items()}
         for name, p in probe.parameters().items():
@@ -232,7 +297,8 @@ def test_flat_optimizers_match_dict_optimizers(optimizer, lr, b1, b2, eps, steps
                 grad[gen.random(p.shape) < 0.2] = -0.0
             p.grad = old[name].grad = grad
         values = reference.step(old)
-        probe.replace_parameters(flat.step(probe.flat_parameters(), probe.gradients(buffer)))
+        assert flat.step(trained, probe.gradients()) is None
+        probe.clear_gradients()
         for name, p in probe.parameters().items():
             assert p.data.tobytes() == values[name].tobytes(), name
 

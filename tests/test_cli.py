@@ -673,8 +673,8 @@ class TestInputHashes:
     def test_each_input_is_hashed_once(self, workdir, embeddings, tmp_path, monkeypatch, command):
         """Each file a command reads is hashed once, in the read that parses
         it, and each file its manifest lists as an output is hashed once, as
-        it is written. A sweep reads the data set once and again in each
-        grid point, so only its outputs are counted."""
+        it is written. A sweep parses the data set once, for all its grid
+        points."""
         data, ckpt = workdir / "data", workdir / "run" / "checkpoint.gmc"
         dataset_inputs = [data / "modality_1.csv", data / "modality_2.csv", data / "labels.csv"]
         synth = write_json(tmp_path / "s.json", SYNTH)
@@ -687,7 +687,7 @@ class TestInputHashes:
             "encode": (["--checkpoint", str(ckpt), "--dataset", str(data), "--pathway", "1"], [ckpt] + dataset_inputs),
             "eval-dca": (["--reference", str(embeddings[0]), "--evaluation", str(embeddings[1])], list(embeddings)),
             "eval-probe": (["--checkpoint", str(ckpt), "--dataset", str(data), "--config", probe], [ckpt] + dataset_inputs),
-            "sweep": (["--config", sweep, "--dataset", str(data)], []),
+            "sweep": (["--config", sweep, "--dataset", str(data)], dataset_inputs),
         }[command]
         monkeypatch.setenv("GMC_THREADS", "1")
         counter = _CountingSha256()

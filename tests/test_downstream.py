@@ -4,18 +4,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gmc import rng
 from gmc.downstream import (
     ProbeClassifier,
     ProbeConfig,
+    ProbeLoss,
     RobustnessTable,
-    cross_entropy,
     evaluate_robustness,
     train_probe,
 )
 from gmc.errors import ConfigError, NumericError, ShapeError
-from gmc.model import GmcModel, TrainConfig, train
+from gmc.model import GmcModel, TrainConfig, fit, train
 from gmc.synthdata import SynthConfig, generate
-from gmc.tensor import Tape, Tensor
+from gmc.tensor import Tape, softmax_cross_entropy_backward, softmax_cross_entropy_forward
 
 
 def ce_oracle(logits, y):
@@ -31,47 +32,60 @@ def two_clusters(n_per=100, seed=0):
     return np.concatenate([z0, z1]), np.array([0] * n_per + [1] * n_per)
 
 
+def onehot_rows(y, c):
+    onehot = np.zeros((len(y), c))
+    onehot[np.arange(len(y)), y] = 1.0
+    return onehot
+
+
+def cross_entropy(logits, y):
+    return softmax_cross_entropy_forward(logits, onehot_rows(y, logits.shape[1]))[0]
+
+
 class TestCrossEntropy:
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_oracle(self, seed):
         gen = np.random.default_rng(seed)
         logits = gen.normal(size=(7, 5)) * gen.uniform(0.5, 8.0)
         y = gen.integers(5, size=7)
-        value = float(cross_entropy(Tensor(logits), y).data)
-        assert value == pytest.approx(ce_oracle(logits, y), abs=1e-12)
+        assert cross_entropy(logits, y) == pytest.approx(ce_oracle(logits, y), abs=1e-12)
 
     def test_gradient_matches_central_differences(self):
         gen = np.random.default_rng(3)
         logits = gen.normal(size=(6, 4)) * 3
         y = gen.integers(4, size=6)
-        t = Tensor(logits, requires_grad=True)
-        with Tape() as tape:
-            loss = cross_entropy(t, y)
-        tape.backward(loss)
+        onehot = onehot_rows(y, 4)
+        _, saved = softmax_cross_entropy_forward(logits, onehot)
+        grad = softmax_cross_entropy_backward(np.ones(()), onehot, saved)
         h = 1e-6
         for k in range(logits.size):
             hi, lo = logits.copy(), logits.copy()
             hi.ravel()[k] += h
             lo.ravel()[k] -= h
             fd = (ce_oracle(hi, y) - ce_oracle(lo, y)) / (2 * h)
-            assert abs(fd - t.grad.ravel()[k]) / max(1.0, abs(fd)) < 1e-8
+            assert abs(fd - grad.ravel()[k]) / max(1.0, abs(fd)) < 1e-8
 
     def test_shift_invariance_is_exact(self):
         # the max-shift trick must not change the value at all
         gen = np.random.default_rng(1)
         logits = gen.normal(size=(4, 3))
         y = np.array([0, 2, 1, 1])
-        a = float(cross_entropy(Tensor(logits), y).data)
-        b = float(cross_entropy(Tensor(logits + 1000.0), y).data)
+        a = cross_entropy(logits, y)
+        b = cross_entropy(logits + 1000.0, y)
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_one_hot_costs_no_identity(self):
-        # a C x C identity at C = 20,000 would be 3.2 GB; the (B, C) rows are 640 KB
+        # a C x C identity at C = 20,000 would be 3.2 GB; a probe step's
+        # workspace holds five (B, C) arrays of 640 KB each, and the step
+        # makes one more for the picked logits
         b, c = 4, 20_000
-        logits = Tensor(np.zeros((b, c)))
+        probe = ProbeClassifier(3, c, hidden=(2,))
+        loss_fn = ProbeLoss(probe, np.zeros((b, 3)), np.array([0, 1, c - 2, c - 1]))
         tracemalloc.start()
         try:
-            value = cross_entropy(logits, np.array([0, 1, c - 2, c - 1]))
+            with Tape() as tape:
+                value = loss_fn(np.arange(b))
+            tape.backward(value)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -79,10 +93,13 @@ class TestCrossEntropy:
         assert value.data == pytest.approx(math.log(c), rel=1e-12)
 
     def test_rejects_bad_labels(self):
+        probe = ProbeClassifier(2, 2, hidden=(3,))
         with pytest.raises(ConfigError):
-            cross_entropy(Tensor(np.zeros((3, 2))), np.array([0, 1, 2]))
+            ProbeLoss(probe, np.zeros((3, 2)), np.array([0, 1, 2]))
+        with pytest.raises(ConfigError):
+            ProbeLoss(probe, np.zeros((3, 2)), np.array([0, -1, 1]))
         with pytest.raises(ShapeError):
-            cross_entropy(Tensor(np.zeros((3, 2))), np.array([0, 1]))
+            ProbeLoss(probe, np.zeros((3, 2)), np.array([0, 1]))
 
 
 class TestProbeClassifier:
@@ -181,6 +198,43 @@ class TestTrainProbe:
     def test_mismatched_rows_rejected(self):
         with pytest.raises(ShapeError):
             train_probe(np.zeros((5, 3)), np.zeros(4, dtype=int))
+
+    def test_bad_label_in_a_later_batch_fails_before_any_step(self, monkeypatch):
+        z, y = two_clusters(seed=5)
+        config = ProbeConfig(epochs=1, batch_size=16, seed=3)
+        last = rng.stream(config.seed, rng.PROBE_SHUFFLE, 0).permutation(len(y))[-1]
+        y[last] = 2  # in the last batch of the first epoch; the probe has 2 classes
+        steps = []
+        monkeypatch.setattr(Tape, "backward", lambda tape, root: steps.append(root))
+        with pytest.raises(ConfigError, match="class index"):
+            train_probe(z, y, n_classes=2, config=config)
+        assert steps == []
+
+    def test_training_leaves_earlier_parameter_tensors_unchanged(self):
+        """`fit` trains in place, but over its own copy of the buffer: the
+        tensors `parameters()` returned before keep their bytes, for the
+        probe loop of `train_probe` and for `train`."""
+        z, y = two_clusters(seed=6)
+        probe = ProbeClassifier(4, 2, hidden=(8,), seed=1)
+        model = GmcModel.build((8, 6), d=4, s=4, hidden=4, seed=0)
+        ds = generate(SynthConfig(n_samples=60, n_classes=3, modality_dims=(8, 6), style_dim=2, seed=0))
+
+        def train_the_probe():
+            fit(probe, ProbeLoss(probe, z, y), len(y), ProbeConfig(epochs=2), rng.PROBE_SHUFFLE, 1, "probe loss")
+
+        for params, run in (
+            (probe, train_the_probe),
+            (model, lambda: train(model, ds, TrainConfig(epochs=2, batch_size=16))),
+        ):
+            before = params.parameters()
+            saved = {name: p.data.tobytes() for name, p in before.items()}
+            run()
+            for name, p in before.items():
+                assert p.data.tobytes() == saved[name] and p.grad is None, name
+            after = params.parameters()
+            assert all(after[name] is not p for name, p in before.items())
+            assert params.flat_parameters().tobytes() != b"".join(saved.values())
+            assert not params.flat_parameters().flags.writeable
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,10 @@
-"""The tape engine and its two primitives, `dense` and `softmax_cross_entropy`.
+"""The tape engine, the `dense` node and the plain layer functions.
 
-The tests that name `matmul`, `add`, `scale`, `exp`, `log`, `sum`, `dot` or
-`row_normalize` check the tape primitives in `tests/_oracles.py`. They make
-up the chain that the one-node contrastive loss must match byte for byte,
-so that reference is itself held to scalar loops and central differences.
+The tests that name `matmul`, `add`, `scale`, `exp`, `log`, `sum`, `dot`,
+`row_normalize` or `softmax_cross_entropy` check the tape primitives in
+`tests/_oracles.py`. They make up the chains that the one-node contrastive
+loss and the one-node probe step must match byte for byte, so those
+references are themselves held to scalar loops and central differences.
 """
 
 import math
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import add, dot, exp, log, matmul, row_normalize, scale, tsum
+from _oracles import add, dot, exp, log, matmul, row_normalize, scale, softmax_cross_entropy, tsum
 from gmc import tensor as T
 from gmc.errors import ContractError, DomainError, ShapeError
 from gmc.loss import RepresentationBatch, mnt_xent
@@ -150,7 +151,7 @@ _SCALAR_CASES = {
     "sum_axis": lambda t: tsum(scale(tsum(t, axis=0), 0.5)),
     "dot": lambda t: dot(t, Tensor(np.linspace(1, 2, 12).reshape(3, 4))),
     "row_normalize": lambda t: dot(row_normalize(t)[0], Tensor(np.linspace(-1, 2, 12).reshape(3, 4))),
-    "softmax_cross_entropy": lambda t: T.softmax_cross_entropy(t, np.eye(4)[[2, 0, 3]]),
+    "softmax_cross_entropy": lambda t: softmax_cross_entropy(t, np.eye(4)[[2, 0, 3]]),
     "contrastive": lambda t: mnt_xent(RepresentationBatch([t], Tensor(np.linspace(-1, 2, 12).reshape(3, 4))), 0.5),
 }
 
@@ -187,7 +188,7 @@ def test_shape_error_names_primitive_and_shapes():
     with pytest.raises(ShapeError, match="dense"):
         T.dense(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
     with pytest.raises(ShapeError, match="softmax_cross_entropy"):
-        T.softmax_cross_entropy(Tensor(np.ones((2, 3))), np.eye(3))
+        T.softmax_cross_entropy_forward(np.ones((2, 3)), np.eye(3))
     with pytest.raises(ShapeError, match="matmul"):
         matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
     with pytest.raises(ShapeError):
