@@ -237,11 +237,6 @@ def build_graph(cloud: LabeledPointCloud, k: int = 5) -> NeighborhoodGraph:
     return NeighborhoodGraph(n, np.stack([keys // n, keys % n], axis=1))
 
 
-def graph_from_edges(n_vertices: int, edges) -> NeighborhoodGraph:
-    """Score an externally supplied graph (construction-agnostic entry)."""
-    return NeighborhoodGraph(int(n_vertices), tuple(edges))
-
-
 # --- scoring ------------------------------------------------------------------
 
 
@@ -315,14 +310,6 @@ def _pooled_scores(scores: list[ComponentScore]) -> tuple[float, float]:
     ), component_quality(
         sum(s.edges_rr for s in scores), sum(s.edges_ee for s in scores), sum(s.edges_re for s in scores)
     )
-
-
-def network_scores(graph: NeighborhoodGraph, is_reference) -> tuple[float, float]:
-    """(c, q) of the whole graph: same formulas, pooled counts."""
-    mask = np.asarray(is_reference, dtype=bool)
-    if mask.shape != (graph.n_vertices,):
-        raise ShapeError("network_scores", (graph.n_vertices,), mask.shape)
-    return _pooled_scores(score_components(graph, mask))
 
 
 def fundamental_components(scores: list[ComponentScore]) -> tuple[int, ...]:

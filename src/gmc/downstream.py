@@ -14,20 +14,12 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError, ShapeError, require_integer
-from .model import (
-    EncoderSpec,
-    GmcModel,
-    ParameterSet,
-    check_loop_config,
-    fit,
-    init_mlp_params,
-    mlp_forward,
-)
+from .model import EncoderSpec, GmcModel, ParameterSet, check_loop_config, fit, init_mlp_params
 from .tensor import (
     Tensor,
     _record,
-    dense_backward,
-    dense_forward,
+    mlp_backward,
+    mlp_forward,
     softmax_cross_entropy_backward,
     softmax_cross_entropy_forward,
 )
@@ -78,7 +70,8 @@ class ProbeClassifier(ParameterSet):
 
     def logits(self, z) -> Tensor:
         t = self._check_input("probe_logits", z, self.latent_dim)
-        return mlp_forward(self.spec, self._params, "probe", t)
+        hs, _ = mlp_forward(t.data, self._mlp_arrays("probe", self.spec)[0], self.spec.activations)
+        return Tensor._from_owned(hs[-1])
 
     def predict(self, z) -> np.ndarray:
         return np.argmax(self.logits(z).data, axis=1)
@@ -102,7 +95,7 @@ class _Workspace:
         self.rows = np.arange(batch)
         self.onehot = np.zeros((batch, classes))
         self.h = [np.empty((batch, width)) for width in spec.widths[1:]]  # each layer's output
-        self.gh = [np.empty((batch, width)) for width in spec.widths[1:-1]]  # dL/d(hidden output)
+        self.gh = [None] + [np.empty((batch, width)) for width in spec.widths[1:-1]]  # dL/d(each layer's input)
         self.e = np.empty((classes, batch))
         self.colsum = np.empty(batch)
         self.glogits = np.empty((batch, classes))
@@ -113,13 +106,14 @@ class ProbeLoss:
     """`fit`'s loss for a probe: the mean softmax cross-entropy of a batch's
     logits, with the whole ReLU MLP, as one tape node over every parameter.
 
-    The node computes with `tensor.dense_forward`/`dense_backward` and the
-    softmax cross-entropy functions, in the order the per-layer nodes use,
-    so it yields the bytes of `mlp_forward` followed by a cross-entropy
-    node. It writes the parameter gradients straight into the probe's
-    gradient buffer, and every activation, logit and gradient array into a
-    workspace kept per batch size: a step allocates nothing parameter-sized,
-    only a few batch-sized temporaries (relu masks, the picked logits).
+    The node computes with `tensor.mlp_forward`/`mlp_backward` and the
+    softmax cross-entropy functions, in the order per-layer nodes would, so
+    it yields the bytes of one node per layer followed by a cross-entropy
+    node (kept in tests/_oracles.py). It writes the parameter gradients
+    straight into the probe's gradient buffer, and every activation, logit
+    and gradient array into a workspace kept per batch size: a step
+    allocates nothing parameter-sized, only a few batch-sized temporaries
+    (relu masks, the picked logits).
     Labels are checked once, here.
     """
 
@@ -134,43 +128,23 @@ class ProbeLoss:
         self._workspaces: dict[int, _Workspace] = {}
 
     def __call__(self, idx: np.ndarray) -> Tensor:
-        probe = self.probe
-        spec = probe.spec
-        batch = idx.size
-        ws = self._workspaces.get(batch)
+        probe, spec = self.probe, self.probe.spec
+        ws = self._workspaces.get(idx.size)
         if ws is None:
-            ws = self._workspaces[batch] = _Workspace(batch, spec)
-        leaves = tuple(probe._params.values())  # w0, b0, w1, b1, ...
-        grads = tuple(probe._grad_views.values())
-        last = spec.layer_count - 1
+            ws = self._workspaces[idx.size] = _Workspace(idx.size, spec)
+        weights, grads = probe._mlp_arrays("probe", spec)
         onehot = ws.onehot
         onehot.fill(0.0)
         onehot[ws.rows, np.take(self.y, idx, out=ws.labels)] = 1.0
-        hs = [np.take(self.z, idx, axis=0, out=ws.x)]
-        for layer in range(spec.layer_count):
-            w, b = leaves[2 * layer].data, leaves[2 * layer + 1].data
-            h, _ = dense_forward(hs[-1], w, b, "relu" if layer < last else None, out=ws.h[layer])
-            hs.append(h)
-        value, saved = softmax_cross_entropy_forward(hs[-1], onehot, ws.e, ws.colsum)
+        hs, layers = mlp_forward(np.take(self.z, idx, axis=0, out=ws.x), weights, spec.activations, ws.h)
+        value, ce_saved = softmax_cross_entropy_forward(hs[-1], onehot, ws.e, ws.colsum)
 
         def bwd(g: np.ndarray):
-            g = softmax_cross_entropy_backward(g, onehot, saved, ws.glogits, ws.scratch)
-            for layer in range(last, -1, -1):
-                g, _, _ = dense_backward(
-                    g,
-                    hs[layer],
-                    leaves[2 * layer].data,
-                    "relu" if layer < last else None,
-                    hs[layer + 1],
-                    need_gx=layer > 0,
-                    gx=ws.gh[layer - 1] if layer > 0 else None,
-                    gw=grads[2 * layer],
-                    gb=grads[2 * layer + 1],
-                    overwrite_g=True,
-                )
+            g = softmax_cross_entropy_backward(g, onehot, ce_saved, ws.glogits, ws.scratch)
+            mlp_backward(g, hs, layers, grads, gh=ws.gh, overwrite_g=True)
             return grads
 
-        return _record(Tensor._from_owned(np.asarray(value)), leaves, bwd)
+        return _record(Tensor._from_owned(np.asarray(value)), tuple(probe._params.values()), bwd)
 
 
 def train_probe(

@@ -16,10 +16,12 @@ per-term mean is reported separately where traces need comparability).
 The ablated variant replaces Omega_m(i) by the complete-vs-complete mass
 alone, Omega*(i) = sum_{j != i} s_{c,c}(i,j), which is independent of m.
 
-The whole loss is one tape node with a hand-written backward. Each pathway's
-rows are normalized once, and only the (m,c), (m,m), and (c,c) similarity
-blocks are materialized, so cost stays linear in M. The j = i terms drop out
-through a -inf diagonal, which is exact for every tau.
+The loss is one (value, backward) pair, `contrastive_loss`: `mnt_xent`
+records it as one tape node, and the GMC step (`model.batch_loss`) runs it
+inside its own node. Each pathway's rows are normalized once, and only the
+(m,c), (m,m), and (c,c) similarity blocks are materialized, so cost stays
+linear in M. The j = i terms drop out through a -inf diagonal, which is
+exact for every tau.
 """
 
 from __future__ import annotations
@@ -68,11 +70,6 @@ class RepresentationBatch:
         return len(self.per_modality)
 
 
-def positive_term_count(batch: RepresentationBatch) -> int:
-    """Number of positive-pair terms the total loss sums over: M * B."""
-    return batch.modality_count * batch.batch_size
-
-
 def _unit_rows(z: Tensor, label: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows of z over their norms: (unit rows, 1 / norms, norms).
 
@@ -94,8 +91,9 @@ def _unit_rows_backward(g: np.ndarray, x: np.ndarray, inv: np.ndarray, norms: np
     return g * inv[:, None] + (g_norm / norms)[:, None] * x
 
 
-def _total_loss(batch: RepresentationBatch, tau, ablated: bool) -> Tensor:
-    """The total loss as one tape node.
+def contrastive_loss(batch: RepresentationBatch, tau, ablated: bool):
+    """The total loss and its backward: backward(g) returns dL/dz for every
+    modality, then for the complete pathway.
 
     The forward and backward repeat, operation for operation, the float
     arithmetic of the loss written as a chain of generic tape primitives
@@ -166,7 +164,12 @@ def _total_loss(batch: RepresentationBatch, tau, ablated: bool) -> Tensor:
         grads.append(_unit_rows_backward(g_uc, zc.data, inv_c, n_c))
         return grads
 
-    return _record(Tensor._from_owned(np.asarray(total)), (*zs, zc), bwd)
+    return total, bwd
+
+
+def _total_loss(batch: RepresentationBatch, tau, ablated: bool) -> Tensor:
+    value, bwd = contrastive_loss(batch, tau, ablated)
+    return _record(Tensor._from_owned(np.asarray(value)), (*batch.per_modality, batch.complete), bwd)
 
 
 def mnt_xent(batch: RepresentationBatch, tau) -> Tensor:

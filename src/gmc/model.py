@@ -21,8 +21,8 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError, DomainError, NumericError, ShapeError, require_integer, require_number
-from .loss import RepresentationBatch, mnt_xent, mnt_xent_ablated
-from .tensor import ACTIVATIONS, Tape, Tensor, dense
+from .loss import RepresentationBatch, contrastive_loss
+from .tensor import ACTIVATIONS, Tape, Tensor, _record, mlp_backward, mlp_forward
 
 
 @dataclass(frozen=True)
@@ -87,23 +87,13 @@ def init_mlp_params(
     return params
 
 
-def mlp_forward(spec: EncoderSpec, params: Mapping[str, Tensor], prefix: str, x: Tensor) -> Tensor:
-    """One `dense` node per layer; the last layer is linear."""
-    h = x
-    last = spec.layer_count - 1
-    for layer in range(spec.layer_count):
-        activation = spec.activations[layer] if layer < last else None
-        h = dense(h, params[f"{prefix}/w{layer}"], params[f"{prefix}/b{layer}"], activation)
-    return h
-
-
 class ParameterSet:
     """Named gradient-tracked parameters: the unit `fit` trains.
 
     The parameters are read-only views of one contiguous float64 buffer,
     laid out in declaration order; a checkpoint payload is that buffer's
-    bytes. Their gradients are gathered into a second buffer with the same
-    layout. Subclasses call `_init_parameters` in their constructor;
+    bytes. A training step writes their gradients into a second buffer with
+    the same layout. Subclasses call `_init_parameters` in their constructor;
     holding, counting, swapping and input-shape checks live here.
     """
 
@@ -142,18 +132,14 @@ class ParameterSet:
 
     def gradients(self) -> np.ndarray:
         """Every parameter's gradient in one buffer laid out like
-        `flat_parameters()`; a parameter with no gradient contributes zeros.
+        `flat_parameters()`, which the backward of a training step's node
+        writes; a parameter's `grad` is its view of the buffer."""
+        return self._grad
 
-        The buffer belongs to the set and is refilled by each call. A node
-        that writes a gradient straight into its `_grad_views` entry and
-        returns that view costs no copy here: numpy skips the assignment of
-        an array to itself.
-        """
-        out = self._grad
-        for name, start, stop, _ in self._layout:
-            grad = self._params[name].grad
-            out[start:stop] = 0.0 if grad is None else grad.reshape(-1)
-        return out
+    def _mlp_arrays(self, prefix: str, spec: EncoderSpec) -> tuple[list, list]:
+        """One MLP's w0, b0, w1, b1, ... arrays and their gradient views."""
+        names = [f"{prefix}/{kind}{layer}" for layer in range(spec.layer_count) for kind in "wb"]
+        return [self._params[n].data for n in names], [self._grad_views[n] for n in names]
 
     def clear_gradients(self) -> None:
         for p in self._params.values():
@@ -268,22 +254,28 @@ class GmcModel(ParameterSet):
 
     # --- forward ------------------------------------------------------------
 
-    def _mlp(self, name: str, spec: EncoderSpec, x: Tensor) -> Tensor:
-        return mlp_forward(spec, self._params, name, x)
+    def _mlps(self) -> list[tuple]:
+        """(spec, weights, gradient views) per base encoder in pathway order, then the head's."""
+        return [(spec, *self._mlp_arrays(name, spec)) for name, spec in self._named_specs()]
+
+    def _pathway(self, p: int, x, mlps: list) -> tuple:
+        """The `mlp_forward` passes of pathway p (M: complete), its base encoder's and the head's."""
+        (spec, weights, _), (head_spec, head_weights, _) = mlps[p], mlps[-1]
+        op = "encode_modality" if p < self.modality_count else "encode_complete"
+        base = mlp_forward(self._check_input(op, x, spec.input_dim).data, weights, spec.activations)
+        return base, mlp_forward(base[0][-1], head_weights, head_spec.activations)
 
     def encode_modality(self, m: int, x) -> Tensor:
         """z_m = g(f_m(x_m)) for a batch of modality-m rows."""
         if not 0 <= m < self.modality_count:
             raise ConfigError("modality", f"no modality {m}; model has {self.modality_count}")
-        t = self._check_input("encode_modality", x, self.base_specs[m].input_dim)
-        h = self._mlp(f"enc{m}", self.base_specs[m], t)
-        return self._mlp("head", self.head_spec, h)
+        _, (hs, _) = self._pathway(m, x, self._mlps())
+        return Tensor._from_owned(hs[-1])
 
     def encode_complete(self, x) -> Tensor:
         """z = g(f(x)) for a batch of concatenated complete observations."""
-        t = self._check_input("encode_complete", x, self.base_specs[-1].input_dim)
-        h = self._mlp("enc_complete", self.base_specs[-1], t)
-        return self._mlp("head", self.head_spec, h)
+        _, (hs, _) = self._pathway(self.modality_count, x, self._mlps())
+        return Tensor._from_owned(hs[-1])
 
     def encode_pathway(self, pathway, x) -> Tensor:
         """Dispatch on pathway: an integer modality index or "complete"."""
@@ -301,12 +293,34 @@ def encode_batch(model: GmcModel, modality_arrays: Sequence, complete_array) -> 
 
 
 def batch_loss(model: GmcModel, modality_arrays, complete_array, tau, variant: str = "full") -> Tensor:
-    batch = encode_batch(model, modality_arrays, complete_array)
-    if variant == "full":
-        return mnt_xent(batch, tau)
-    if variant == "ablated":
-        return mnt_xent_ablated(batch, tau)
-    raise ConfigError("loss_variant", f"unknown variant {variant!r}")
+    """The contrastive loss of one batch as one tape node over every
+    parameter of `model`, whose backward writes the model's gradient buffer.
+
+    The backward runs the loss backward, then the complete pathway and
+    modalities M-1 down to 0, each through the head and its base encoder:
+    the head's gradients are summed in the order `Tape.backward` summed
+    them over one node per layer, which keeps that path's bytes.
+    """
+    if variant not in ("full", "ablated"):
+        raise ConfigError("loss_variant", f"unknown variant {variant!r}")
+    m = model.modality_count
+    if len(modality_arrays) != m:
+        raise ConfigError("modalities", "one array per modality required")
+    mlps = model._mlps()
+    passes = [model._pathway(p, x, mlps) for p, x in enumerate([*modality_arrays, complete_array])]
+    zs = [Tensor._from_owned(hs[-1]) for _, (hs, _) in passes]
+    value, loss_backward = contrastive_loss(RepresentationBatch(zs[:m], zs[m]), tau, variant == "ablated")
+    grads = tuple(model._grad_views.values())
+
+    def bwd(g: np.ndarray):
+        g_zs = loss_backward(g)
+        for p in range(m, -1, -1):
+            (base_hs, base_layers), (head_hs, head_layers) = passes[p]
+            g_h = mlp_backward(g_zs[p], head_hs, head_layers, mlps[-1][2], need_gx=True, add=p < m)
+            mlp_backward(g_h, base_hs, base_layers, mlps[p][2])
+        return grads
+
+    return _record(Tensor._from_owned(np.asarray(value)), tuple(model._params.values()), bwd)
 
 
 # --- training -----------------------------------------------------------------
@@ -430,10 +444,10 @@ def fit(
     Each epoch draws a permutation from the stream (config.seed, purpose,
     epoch) and steps once per batch of config.batch_size indices; a trailing
     batch smaller than `min_batch` is dropped. `loss_fn` maps the batch
-    indices to a scalar loss recorded on the tape. A non-finite loss or a
-    domain error aborts with a NumericError that names `what` failed, the
-    epoch, the step and the shuffle seed. Returns, per epoch, the (loss,
-    batch size) of every step taken.
+    indices to a scalar loss, one tape node that writes `gradients()`. A
+    non-finite loss or a domain error aborts with a NumericError that names
+    `what` failed, the epoch, the step and the shuffle seed. Returns, per
+    epoch, the (loss, batch size) of every step taken.
 
     The parameters are bound once, over a copy of their buffer that the
     optimizer then updates in place through the writable original while the

@@ -349,8 +349,9 @@ def load_dataset(dataset_dir, digests: dict | None = None) -> MultimodalDataset:
     if label_data.size == 0:
         raise DataError(f"labels.csv holds no rows: {dataset_dir}")
     labels, split = label_data[:, 0], label_data[:, 1]
+    bad_label = (labels < 0) | (labels != np.floor(labels)) | (labels >= 2.0**63)  # int64 holds below 2**63
     for name, column, bad, rule in (
-        ("label", labels, (labels < 0) | (labels != np.floor(labels)), "a non-negative integer"),
+        ("label", labels, bad_label, "a non-negative integer below 2**63"),
         ("is_train", split, (split != 0.0) & (split != 1.0), "0 or 1"),
     ):
         rows = np.flatnonzero(bad)

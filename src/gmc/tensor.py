@@ -12,11 +12,11 @@ keeps the values it was created with, so a tape and the tensors it
 references can be shared with readers on other threads once the forward
 pass is done, as long as no fit is updating the parameters they view.
 
-The arithmetic of a dense layer and of the softmax cross-entropy lives in
-plain array functions (`dense_forward`, `dense_backward`,
-`softmax_cross_entropy_forward`, `softmax_cross_entropy_backward`). The
-`dense` node and the probe's fused node (`downstream.ProbeLoss`) both call
-them, so each float operation is written, and ordered, in one place.
+The arithmetic of a dense layer, of an MLP's layer loop and of the softmax
+cross-entropy lives in plain array functions (`dense_forward`, `mlp_forward`,
+`softmax_cross_entropy_forward` and their backwards). The one-node GMC and
+probe steps (`model.batch_loss`, `downstream.ProbeLoss`) call them, so each
+float operation is written, and ordered, in one place.
 """
 
 from __future__ import annotations
@@ -194,23 +194,43 @@ def dense_backward(g, x, w, activation, saved, need_gx=True, gx=None, gw=None, g
     return gx, np.matmul(x.T, g, out=gw), g.sum(axis=0, out=gb)
 
 
-def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None) -> Tensor:
-    """One MLP layer as one node: act((x @ w) + b).
+def mlp_forward(x: np.ndarray, weights, activations, out=None):
+    """An MLP's forward pass over arrays, one `dense_forward` per layer.
 
-    `activation` is "relu", "swish" (x * sigmoid(x)) or None for a linear
-    layer. The backward returns exactly the arrays a matmul, bias-add and
-    activation chain would, and skips g @ w.T when x needs no gradient.
+    `weights` holds w0, b0, w1, b1, ... and `activations` one name per
+    hidden layer; the last layer is linear. Layer l writes its output into
+    out[l] when `out` is given. Returns the outputs, x first, and per layer
+    what `mlp_backward` needs.
     """
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ShapeError("dense", x.shape, w.shape, b.shape)
-    if activation is not None and activation not in ACTIVATIONS:
-        raise ContractError(f"unknown activation {activation!r}")
-    out, saved = dense_forward(x.data, w.data, b.data, activation)
+    hs, layers = [x], []
+    for layer, activation in enumerate((*activations, None)):
+        w, b = weights[2 * layer], weights[2 * layer + 1]
+        h, saved = dense_forward(hs[-1], w, b, activation, None if out is None else out[layer])
+        hs.append(h)
+        layers.append((w, activation, saved))
+    return hs, layers
 
-    def bwd(g: np.ndarray):
-        return dense_backward(g, x.data, w.data, activation, saved, need_gx=x.requires_grad)
 
-    return _record(Tensor._from_owned(out), (x, w, b), bwd)
+def mlp_backward(g, hs, layers, grads, need_gx=False, gh=None, add=False, overwrite_g=False):
+    """Backpropagate g = dL/d(output) through an `mlp_forward` pass.
+
+    Layer l's dL/dw and dL/db are written into grads[2l] and grads[2l + 1],
+    or added into them when `add` is set: a network shared by several
+    pathways sums its gradients over them. dL/d(input of layer l) goes into
+    gh[l] when `gh` is given, and g is spent when `overwrite_g` allows it.
+    Returns dL/dx, or None unless `need_gx`.
+    """
+    for layer in reversed(range(len(layers))):
+        w, activation, saved = layers[layer]
+        args = (g, hs[layer], w, activation, saved, layer > 0 or need_gx, None if gh is None else gh[layer])
+        gw, gb = grads[2 * layer], grads[2 * layer + 1]
+        if add:
+            g, dw, db = dense_backward(*args, overwrite_g=overwrite_g)
+            np.add(gw, dw, out=gw)
+            np.add(gb, db, out=gb)
+        else:
+            g, _, _ = dense_backward(*args, gw=gw, gb=gb, overwrite_g=overwrite_g)
+    return g
 
 
 def softmax_cross_entropy_forward(logits: np.ndarray, onehot: np.ndarray, e=None, colsum=None):

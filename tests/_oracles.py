@@ -7,8 +7,9 @@ mathematics. The exceptions are references that production code must match
 bit for bit, so they keep the straightforward arithmetic it reproduces:
 `knn_edges_loops` (k-NN edges on ties and near-ties, one numpy distance row
 per point) and, at the end of this file, the tape primitives, chains, dict
-optimizers, the per-layer probe training and the CSV reader and writer that
-the fused and flat versions replaced.
+optimizers, the per-layer GMC and probe training, the functions only tests
+call and the CSV reader and writer that the fused and flat versions
+replaced.
 """
 
 import math
@@ -19,9 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from gmc import rng
+from gmc.dca import _pooled_scores, score_components
 from gmc.downstream import ProbeClassifier
 from gmc.errors import ConfigError, ContractError, DataError, DegenerateVectorError, DomainError, ShapeError
-from gmc.tensor import Tape, Tensor, _record
+from gmc.loss import RepresentationBatch, mnt_xent, mnt_xent_ablated
+from gmc.tensor import ACTIVATIONS, Tape, Tensor, _record, dense_backward, dense_forward
 
 
 def cos_loops(u, v):
@@ -323,6 +326,53 @@ def mnt_xent_chain(batch, tau, ablated=False):
     return total
 
 
+def dense(x, w, b, activation=None):
+    """One MLP layer as one node: act((x @ w) + b).
+
+    `activation` is "relu", "swish" (x * sigmoid(x)) or None for a linear
+    layer. The backward returns exactly the arrays a matmul, bias-add and
+    activation chain would, and skips g @ w.T when x needs no gradient.
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError("dense", x.shape, w.shape, b.shape)
+    if activation is not None and activation not in ACTIVATIONS:
+        raise ContractError(f"unknown activation {activation!r}")
+    out, saved = dense_forward(x.data, w.data, b.data, activation)
+
+    def bwd(g):
+        return dense_backward(g, x.data, w.data, activation, saved, need_gx=x.requires_grad)
+
+    return _record(Tensor._from_owned(out), (x, w, b), bwd)
+
+
+def mlp_dense_nodes(spec, params, prefix, x):
+    """One `dense` node per layer; the last layer is linear."""
+    h = x
+    last = spec.layer_count - 1
+    for layer in range(spec.layer_count):
+        activation = spec.activations[layer] if layer < last else None
+        h = dense(h, params[f"{prefix}/w{layer}"], params[f"{prefix}/b{layer}"], activation)
+    return h
+
+
+def batch_loss_nodes(model, xs, xc, tau, variant="full", params=None, mlp=None, loss=None):
+    """`model.batch_loss` as one tape node per layer and one for the loss:
+    4 (M + 1) + 1 nodes, 17 at M = 3. Each pathway runs `mlp` through its
+    base encoder and the shared head over the leaves `params` (the model's
+    own by default); `mlp` and `loss` swap in the chains instead."""
+    params = model.parameters() if params is None else params
+    mlp = mlp_dense_nodes if mlp is None else mlp
+
+    def pathway(name, spec, x):
+        return mlp(model.head_spec, params, "head", mlp(spec, params, name, Tensor(x)))
+
+    zs = [pathway(f"enc{m}", model.base_specs[m], x) for m, x in enumerate(xs)]
+    batch = RepresentationBatch(zs, pathway("enc_complete", model.base_specs[-1], xc))
+    if loss is not None:
+        return loss(batch, tau, variant == "ablated")
+    return mnt_xent_ablated(batch, tau) if variant == "ablated" else mnt_xent(batch, tau)
+
+
 def bias_add(a, b):
     """(B, n) + (n,) on the tape; the bias gradient is the column sum."""
     out = Tensor._from_owned(a.data + b.data)
@@ -472,19 +522,50 @@ def fit_fresh(params, loss_fn, n, config, purpose, min_batch):
     return epochs
 
 
+def train_nodes(model, dataset, config):
+    """`model.train` as one tape node per layer and one for the loss, each
+    step (`batch_loss_nodes`), trained by `fit_fresh`. Returns the epoch
+    losses and epoch term means."""
+    xs = [dataset.modality(m, "train") for m in range(model.modality_count)]
+    xc = dataset.complete_view("train")
+
+    def loss_fn(idx):
+        return batch_loss_nodes(model, [x[idx] for x in xs], xc[idx], config.tau, config.loss_variant)
+
+    epochs = fit_fresh(model, loss_fn, xc.shape[0], config, rng.SHUFFLE, 2)
+    m = model.modality_count
+    return (
+        [float(np.mean([value for value, _ in steps])) for steps in epochs],
+        [float(np.mean([value / (m * b) for value, b in steps])) for steps in epochs],
+    )
+
+
 def train_probe_4_nodes(z, y, n_classes, config):
     """`downstream.train_probe` as four tape nodes a step: the three dense
-    nodes of `mlp_forward` and `cross_entropy`, trained by `fit_fresh`."""
+    nodes of `mlp_dense_nodes` and `cross_entropy`, trained by `fit_fresh`."""
     z = np.asarray(z, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     probe = ProbeClassifier(z.shape[1], n_classes, config.hidden, config.seed)
 
     def loss_fn(idx):
-        return cross_entropy(probe.logits(z[idx]), y[idx])
+        return cross_entropy(mlp_dense_nodes(probe.spec, probe.parameters(), "probe", Tensor(z[idx])), y[idx])
 
     epochs = fit_fresh(probe, loss_fn, z.shape[0], config, rng.PROBE_SHUFFLE, 1)
     probe.training_losses = [float(np.mean([value for value, _ in steps])) for steps in epochs]
     return probe
+
+
+def network_scores(graph, is_reference):
+    """(c, q) of the whole graph: same formulas, pooled counts."""
+    mask = np.asarray(is_reference, dtype=bool)
+    if mask.shape != (graph.n_vertices,):
+        raise ShapeError("network_scores", (graph.n_vertices,), mask.shape)
+    return _pooled_scores(score_components(graph, mask))
+
+
+def positive_term_count(batch):
+    """Number of positive-pair terms the total loss sums over: M * B."""
+    return batch.modality_count * batch.batch_size
 
 
 def _cell(value):

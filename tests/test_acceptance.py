@@ -5,26 +5,34 @@ figures, so a verbose run doubles as a checklist. Tolerances and time budgets
 are asserted, not aspirational; loosening one here changes the contract.
 
 The slow criteria (5, 6, 7) share their seed-fixed 100-epoch trainings
-through a module-scoped cache, which keeps the whole file well under the sum
-of the individual budgets. Expect several minutes on one core.
+through a module-scoped fixture that trains all nine in two processes, which
+keeps the whole file well under the sum of the individual budgets.
 """
 
 import itertools
 import json
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from gmc.cli import main
-from gmc.dca import evaluate_alignment, graph_from_edges, harmonic_score, score_labeled_graph
+from gmc.dca import NeighborhoodGraph, evaluate_alignment, harmonic_score, score_labeled_graph
 from gmc.downstream import ProbeConfig, evaluate_robustness, train_probe
-from gmc.loss import RepresentationBatch, mnt_xent, mnt_xent_ablated, positive_term_count
+from gmc.loss import RepresentationBatch, mnt_xent, mnt_xent_ablated
 from gmc.model import GmcModel, TrainConfig, batch_loss, train
 from gmc.synthdata import SynthConfig, generate
 from gmc.tensor import Tape, Tensor
 
-from _oracles import components_bfs, dca_scores_fractions, mnt_xent_ablated_loops, mnt_xent_loops
+from _oracles import (
+    components_bfs,
+    dca_scores_fractions,
+    mnt_xent_ablated_loops,
+    mnt_xent_loops,
+    positive_term_count,
+)
 
 
 def _report(capsys, criterion, elapsed, detail):
@@ -37,25 +45,36 @@ def dataset():
     return generate(SynthConfig())
 
 
+# (loss_variant, seed, tau) of the 100-epoch models criteria 5, 6 and 7 read
+TRAINED_KEYS = (
+    *((variant, seed, 0.1) for variant in ("full", "ablated") for seed in (0, 1, 2)),
+    *(("full", 0, tau) for tau in (0.05, 0.3, 0.5)),
+)
+
+
+def _train_parameters(dataset, variant, seed, tau):
+    model = GmcModel.build(dataset.config.modality_dims, seed=seed)
+    train(model, dataset, TrainConfig(tau=tau, seed=seed, loss_variant=variant))
+    return model.flat_parameters()
+
+
 @pytest.fixture(scope="module")
-def trained():
-    """Trained models keyed (loss_variant, seed, tau), computed on demand.
+def trained(dataset):
+    """Trained models keyed (loss_variant, seed, tau).
 
     Criteria 5, 6 and 7 together describe nine 100-epoch runs but share
-    three of them; caching keeps this file's runtime inside budget without
-    changing what any single criterion measures.
+    three of them. All nine are trained when the fixture is first requested,
+    in a pool of two processes that is shut down before it returns, so no
+    criterion's timing overlaps the pool. Each model is rebuilt here from the
+    parameter bytes its process trained.
     """
-    cache = {}
-
-    def get(dataset, variant, seed, tau):
-        key = (variant, seed, tau)
-        if key not in cache:
-            model = GmcModel.build(dataset.config.modality_dims, seed=seed)
-            train(model, dataset, TrainConfig(tau=tau, seed=seed, loss_variant=variant))
-            cache[key] = model
-        return cache[key]
-
-    return get
+    with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        trained_parameters = list(pool.map(_train_parameters, itertools.repeat(dataset), *zip(*TRAINED_KEYS)))
+    models = {}
+    for key, flat in zip(TRAINED_KEYS, trained_parameters):
+        model = models[key] = GmcModel.build(dataset.config.modality_dims, seed=key[1])
+        model.replace_parameters(flat)
+    return models
 
 
 def _modality_harmonics(model, dataset, k=5):
@@ -281,13 +300,13 @@ def _relabeling_preserves_report(n, slots, gen):
     perm = [int(p) for p in gen.permutation(n)]
     edges = _mask_edges(mask, slots)
     is_ref = [(label_mask >> v) & 1 == 1 for v in range(n)]
-    base = score_labeled_graph(graph_from_edges(n, edges), is_ref)
+    base = score_labeled_graph(NeighborhoodGraph(n, edges), is_ref)
 
     mapped_ref = [False] * n
     for v in range(n):
         mapped_ref[perm[v]] = is_ref[v]
     image = score_labeled_graph(
-        graph_from_edges(n, [(perm[u], perm[v]) for u, v in edges]), mapped_ref
+        NeighborhoodGraph(n, [(perm[u], perm[v]) for u, v in edges]), mapped_ref
     )
 
     # identical integer counts, so identical floats: exact equality is right
@@ -312,7 +331,7 @@ def test_criterion_3_alignment_scores_exhaustive_small_graphs(capsys):
         labelings = _labelings(n)
         for mask in range(1 << len(slots)):
             edges = _mask_edges(mask, slots)
-            graph = graph_from_edges(n, edges)
+            graph = NeighborhoodGraph(n, edges)
             _partition_matches_bfs(graph, n, edges)
             for ref, is_eval in labelings:
                 d = _scores_match_oracle(score_labeled_graph(graph, ref), n, edges, is_eval)
@@ -335,7 +354,7 @@ def test_criterion_3_alignment_scores_exhaustive_small_graphs(capsys):
         labelings = _labelings(n)
         for mask in reps.tolist():
             edges = _mask_edges(mask, slots)
-            graph = graph_from_edges(n, edges)
+            graph = NeighborhoodGraph(n, edges)
             _partition_matches_bfs(graph, n, edges)
             for ref, is_eval in labelings:
                 d = _scores_match_oracle(score_labeled_graph(graph, ref), n, edges, is_eval)
@@ -354,12 +373,12 @@ def test_criterion_3_alignment_scores_exhaustive_small_graphs(capsys):
     slots = _edge_slots(6)
     for mask in range(1 << len(slots)):
         edges = _mask_edges(mask, slots)
-        _partition_matches_bfs(graph_from_edges(6, edges), 6, edges)
+        _partition_matches_bfs(NeighborhoodGraph(6, edges), 6, edges)
     gen = np.random.default_rng(900)
     slots = _edge_slots(7)
     for mask in gen.integers(0, 1 << len(slots), size=20000).tolist():
         edges = _mask_edges(mask, slots)
-        _partition_matches_bfs(graph_from_edges(7, edges), 7, edges)
+        _partition_matches_bfs(NeighborhoodGraph(7, edges), 7, edges)
 
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0
@@ -417,7 +436,7 @@ def test_criterion_4_loss_cost_linear_in_modalities(capsys):
 
 def test_criterion_5_trained_model_meets_quality_floors(capsys, dataset, trained):
     start = time.perf_counter()
-    model = trained(dataset, "full", 0, 0.1)
+    model = trained["full", 0, 0.1]
 
     z_train = model.encode_complete(dataset.complete_view("train")).data
     probe = train_probe(z_train, dataset.labels_view("train"), config=ProbeConfig(seed=0))
@@ -452,7 +471,7 @@ def test_criterion_6_ablated_loss_degrades_alignment(capsys, dataset, trained):
     for variant in ("full", "ablated"):
         scores = []
         for seed in (0, 1, 2):
-            scores.extend(_modality_harmonics(trained(dataset, variant, seed, 0.1), dataset))
+            scores.extend(_modality_harmonics(trained[variant, seed, 0.1], dataset))
         means[variant] = sum(scores) / len(scores)
     assert means["ablated"] < means["full"]
     elapsed = time.perf_counter() - start
@@ -472,7 +491,7 @@ def test_criterion_7_probe_accuracy_stable_across_tau(capsys, dataset, trained):
     taus = (0.05, 0.1, 0.3, 0.5)
     tables = {}
     for tau in taus:
-        model = trained(dataset, "full", 0, tau)
+        model = trained["full", 0, tau]
         z_train = model.encode_complete(dataset.complete_view("train")).data
         probe = train_probe(z_train, dataset.labels_view("train"), config=ProbeConfig(seed=0))
         tables[tau] = evaluate_robustness(model, probe, dataset, split="test")

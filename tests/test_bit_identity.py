@@ -1,8 +1,8 @@
 """The fused and flat code paths against the code they replaced, byte for byte.
 
-`dense`, the softmax cross-entropy functions, the one-node contrastive
-loss, the one-node probe step and the probe training around it, the
-in-place optimizers, the bulk CSV reader and writer, the binary CSV twin
+The plain dense-layer and softmax cross-entropy functions, the one-node
+contrastive loss, the one-node GMC and probe steps and the trainings around
+them, the in-place optimizers, the bulk CSV reader and writer, the binary CSV twin
 and `rng.per_index` each promise the exact bytes of a longer path kept in
 `tests/_oracles.py`. Every comparison here is on `tobytes()`,
 so a single changed rounding fails.
@@ -20,22 +20,27 @@ from hypothesis import strategies as st
 from _oracles import (
     AdamDict,
     SgdDict,
+    batch_loss_nodes,
     cross_entropy,
     cross_entropy_chain,
+    dense,
     dense_chain,
     dot,
     mlp_chain,
+    mlp_dense_nodes,
     mnt_xent_chain,
     read_matrix_csv_cells,
+    train_nodes,
     train_probe_4_nodes,
     write_csv_cells,
 )
 from gmc import rng
 from gmc import tensor as T
 from gmc.downstream import ProbeClassifier, ProbeConfig, ProbeLoss, train_probe
-from gmc.errors import DataError, DegenerateVectorError, ShapeError
+from gmc.errors import DataError, DegenerateVectorError, DomainError, NumericError, ShapeError
 from gmc.loss import RepresentationBatch, mnt_xent, mnt_xent_ablated
-from gmc.model import GmcModel, _Adam, _Sgd, batch_loss, mlp_forward
+from gmc.model import GmcModel, TrainConfig, _Adam, _Sgd, batch_loss, train
+from gmc.synthdata import MultimodalDataset
 from gmc.persist import _read_twin, read_matrix_csv, twin_path, write_csv
 from gmc.tensor import Tape, Tensor
 
@@ -73,7 +78,7 @@ def test_dense_matches_matmul_add_activation_chain(batch, n_in, n_out, activatio
         tape.backward(loss)
         return [_bytes(a) for a in (out.data, xt.grad, wt.grad, bt.grad)]
 
-    assert run(T.dense) == run(dense_chain)
+    assert run(dense) == run(dense_chain)
 
 
 # --- cross-entropy -------------------------------------------------------------
@@ -165,9 +170,10 @@ def _leaf_copies(params):
 
 
 @pytest.mark.parametrize("batch", [64, 5])
-def test_gmc_step_matches_chain_with_78_nodes(batch):
-    """One default step as 17 nodes, as the 78 of dense layers and the loss
-    chain, and as the 102 of matmul, bias-add and activation chains."""
+def test_gmc_step_matches_chain_with_1_node(batch):
+    """One default step as 1 node, as the 17 of dense layers and the
+    one-node loss, as the 78 of dense layers and the loss chain, and as the
+    102 of matmul, bias-add and activation chains and the loss chain."""
     gen = np.random.default_rng(batch)
     model = GmcModel.build((20, 16, 12), seed=4)
     xs = [gen.normal(size=(batch, d)) for d in (20, 16, 12)]
@@ -175,17 +181,12 @@ def test_gmc_step_matches_chain_with_78_nodes(batch):
     with Tape() as tape:
         loss = batch_loss(model, xs, xc, 0.1)
     tape.backward(loss)
-    assert len(tape) == 17
+    assert len(tape) == 1
 
-    for mlp, nodes in ((mlp_forward, 78), (mlp_chain, 102)):
+    for mlp, loss_fn, nodes in ((None, None, 17), (None, mnt_xent_chain, 78), (mlp_chain, mnt_xent_chain, 102)):
         old = _leaf_copies(model.parameters())
         with Tape() as old_tape:
-            zs = [
-                mlp(model.head_spec, old, "head", mlp(model.base_specs[m], old, f"enc{m}", Tensor(x)))
-                for m, x in enumerate(xs)
-            ]
-            zc = mlp(model.head_spec, old, "head", mlp(model.base_specs[-1], old, "enc_complete", Tensor(xc)))
-            old_loss = mnt_xent_chain(RepresentationBatch(zs, zc), 0.1)
+            old_loss = batch_loss_nodes(model, xs, xc, 0.1, params=old, mlp=mlp, loss=loss_fn)
         old_tape.backward(old_loss)
         assert len(old_tape) == nodes
         assert loss.data.tobytes() == old_loss.data.tobytes()
@@ -207,7 +208,7 @@ def test_probe_step_matches_chain_with_1_node(batch):
     tape.backward(loss)
     assert len(tape) == 1
 
-    for (mlp, ce), nodes in (((mlp_forward, cross_entropy), 4), ((mlp_chain, cross_entropy_chain), 19)):
+    for (mlp, ce), nodes in (((mlp_dense_nodes, cross_entropy), 4), ((mlp_chain, cross_entropy_chain), 19)):
         old = _leaf_copies(probe.parameters())
         with Tape() as old_tape:
             old_loss = ce(mlp(probe.spec, old, "probe", Tensor(z[idx])), y[idx])
@@ -256,6 +257,65 @@ def test_train_probe_matches_4_node_path(
     assert np.array(new.training_losses).tobytes() == np.array(old.training_losses).tobytes()
 
 
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    modalities=st.sampled_from([2, 3, 4]),
+    batch_size=st.integers(2, 64),
+    full_batches=st.integers(1, 3),
+    trailing=st.one_of(st.just(0), st.just(1), st.integers(2, 63)),
+    epochs=st.integers(1, 3),
+    variant=st.sampled_from(["full", "ablated"]),
+    activation=st.sampled_from(["swish", "relu"]),
+    tau=st.sampled_from([0.05, 0.1, 1.0]),
+    optimizer=st.sampled_from(["adam", "sgd"]),
+    learning_rate=st.sampled_from([0.0, 1e-3, 0.05]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(3, 64, 3, 1, 2, "full", "swish", 0.1, "adam", 1e-3, 0)  # the default model's shape, a dropped batch of 1
+@example(4, 5, 2, 3, 3, "ablated", "relu", 0.05, "sgd", 0.05, 1)
+def test_train_matches_17_node_path(
+    modalities, batch_size, full_batches, trailing, epochs, variant, activation, tau, optimizer, learning_rate, seed
+):
+    """Whole GMC trainings, the trailing partial batch included: one node a
+    step and in-place updates against a node per layer and one for the loss
+    a step (17 at M = 3) and a fresh parameter buffer a step."""
+    gen = np.random.default_rng(seed)
+    remainder = min(trailing, batch_size - 1)  # 1 is dropped, 2 or more is a step
+    n = full_batches * batch_size + remainder
+    dims = [int(d) for d in gen.integers(1, 6, size=modalities)]
+    mats = [gen.normal(size=(n, d)) for d in dims]
+    dataset = MultimodalDataset(mats, np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool), np.concatenate(mats, axis=1))
+    config = TrainConfig(
+        epochs=epochs,
+        batch_size=batch_size,
+        learning_rate=learning_rate,
+        tau=tau,
+        seed=seed % 1000,
+        loss_variant=variant,
+        optimizer=optimizer,
+    )
+    # 24 hidden units keep an all-zero relu row, which has no direction, rare
+    new, old = (GmcModel.build(dims, d=6, s=5, hidden=24, activation=activation, seed=seed % 997) for _ in "ab")
+
+    def outcome(run):
+        try:
+            return run()
+        except DomainError as err:  # the per-layer path raises the loss's own error
+            return ("error", type(err), str(err))
+        except NumericError as err:  # `fit` wraps it, naming the step
+            return ("error", type(err.__cause__), str(err.__cause__))
+
+    result = outcome(lambda: train(new, dataset, config))
+    expected = outcome(lambda: train_nodes(old, dataset, config))
+    if isinstance(expected, tuple) and expected[0] == "error":
+        assert result == expected
+        return
+    assert result.steps == epochs * (full_batches + (remainder >= 2))
+    assert new.flat_parameters().tobytes() == old.flat_parameters().tobytes()
+    assert np.array(result.epoch_losses).tobytes() == np.array(expected[0]).tobytes()
+    assert np.array(result.epoch_term_means).tobytes() == np.array(expected[1]).tobytes()
+
+
 # --- optimizers ------------------------------------------------------------------
 
 _GRAD_KINDS = ("missing", "zero", "negative_zero", "normal")
@@ -273,7 +333,8 @@ _GRAD_KINDS = ("missing", "zero", "negative_zero", "normal")
 )
 def test_flat_optimizers_match_dict_optimizers(optimizer, lr, b1, b2, eps, steps, seed):
     """The in-place optimizers over the set's gradient buffer, stepped as
-    `fit` steps them, against one update per named parameter."""
+    `fit` steps them, against one update per named parameter. A missing
+    gradient is zeros in the buffer."""
     gen = np.random.default_rng(seed)
     config = ProbeConfig(learning_rate=lr, adam_beta1=b1, adam_beta2=b2, adam_eps=eps, optimizer=optimizer)
     probe = ProbeClassifier(3, 4, hidden=(5,), seed=seed % 1000)
@@ -283,9 +344,14 @@ def test_flat_optimizers_match_dict_optimizers(optimizer, lr, b1, b2, eps, steps
     values = {name: p.data.copy() for name, p in probe.parameters().items()}
     trained = probe.flat_parameters().copy()
     probe.replace_parameters(trained.view())
+    buffer = probe.gradients()
     for _ in range(steps):
         old = {name: Tensor(v) for name, v in values.items()}
+        start = 0
         for name, p in probe.parameters().items():
+            view = buffer[start : start + p.size].reshape(p.shape)
+            start += p.size
+            view[...] = 0.0
             kind = _GRAD_KINDS[gen.integers(len(_GRAD_KINDS))]
             if kind == "missing":
                 continue
@@ -295,10 +361,9 @@ def test_flat_optimizers_match_dict_optimizers(optimizer, lr, b1, b2, eps, steps
             elif kind == "normal":
                 grad = gen.normal(size=p.shape) * 10.0 ** gen.integers(-8, 3)
                 grad[gen.random(p.shape) < 0.2] = -0.0
-            p.grad = old[name].grad = grad
+            view[...] = old[name].grad = grad
         values = reference.step(old)
         assert flat.step(trained, probe.gradients()) is None
-        probe.clear_gradients()
         for name, p in probe.parameters().items():
             assert p.data.tobytes() == values[name].tobytes(), name
 

@@ -501,8 +501,10 @@ class TestLabels:
             (1, "2", "first", "is_train 2 in data row 1 is not 0 or 1"),
             (0, "1.5", "first", "label 1.5 in data row 1 is not a non-negative integer"),
             (0, "-1", "first", "label -1 in data row 1 is not a non-negative integer"),
+            (0, "1e300", "first", "label 1e+300 in data row 1 is not a non-negative integer below 2**63"),
+            (0, "9223372036854775808", "first", "label 9.22337e+18 in data row 1 is not a non-negative integer"),
         ],
-        ids=["all-train", "all-test", "flag-2", "label-1.5", "label-negative"],
+        ids=["all-train", "all-test", "flag-2", "label-1.5", "label-negative", "label-1e300", "label-2**63"],
     )
     def test_bad_labels_are_a_data_error(self, workdir, tmp_path, capsys, column, value, rows, message):
         shutil.copytree(workdir / "data", tmp_path / "d")

@@ -15,16 +15,14 @@ from gmc.dca import (
     component_quality,
     evaluate_alignment,
     fundamental_components,
-    graph_from_edges,
     harmonic_score,
-    network_scores,
     precision_recall,
     score_components,
     score_labeled_graph,
 )
 from gmc.errors import ContractError, DataError, ShapeError
 
-from _oracles import dca_scores_fractions, knn_edges_loops
+from _oracles import dca_scores_fractions, knn_edges_loops, network_scores
 
 
 def random_labeled_graph(gen, n_max=10):
@@ -70,7 +68,7 @@ def knn_cloud(kind, n, dim, scale_exponent, seed):
 
 
 def assert_matches_oracle(n, edges, is_ref):
-    report = score_labeled_graph(graph_from_edges(n, edges), is_ref)
+    report = score_labeled_graph(NeighborhoodGraph(n, edges), is_ref)
     oracle = dca_scores_fractions(n, edges, [not r for r in is_ref])
     for score, c, q in zip(report.components, oracle["component_consistency"], oracle["component_quality"]):
         assert abs(score.consistency - float(c)) < 1e-12
@@ -105,12 +103,12 @@ class TestLabeledPointCloud:
 
 class TestNeighborhoodGraph:
     def test_components_partition_and_singletons(self):
-        g = graph_from_edges(5, [(0, 1), (1, 2)])
+        g = NeighborhoodGraph(5, [(0, 1), (1, 2)])
         assert g.components == ((0, 1, 2), (3,), (4,))
         assert g.component_of.tolist() == [0, 0, 0, 1, 2]
 
     def test_edges_normalized_and_sorted(self):
-        g = graph_from_edges(4, [(3, 1), (0, 2)])
+        g = NeighborhoodGraph(4, [(3, 1), (0, 2)])
         assert g.edges == ((0, 2), (1, 3))
 
     @pytest.mark.parametrize(
@@ -118,13 +116,13 @@ class TestNeighborhoodGraph:
     )
     def test_rejects_malformed_edges(self, edges):
         with pytest.raises(ContractError):
-            graph_from_edges(4, edges)
+            NeighborhoodGraph(4, edges)
 
     def test_every_edge_is_intra_component(self):
         gen = np.random.default_rng(0)
         for _ in range(50):
             n, edges, _ = random_labeled_graph(gen)
-            g = graph_from_edges(n, edges)
+            g = NeighborhoodGraph(n, edges)
             for u, v in g.edges:
                 assert g.component_of[u] == g.component_of[v]
 
@@ -231,7 +229,7 @@ class TestComponentFormulas:
 
     def test_score_components_counts(self):
         # component {0,1,2}: edges RR(0-1), RE(1-2); component {3,4}: EE
-        g = graph_from_edges(5, [(0, 1), (1, 2), (3, 4)])
+        g = NeighborhoodGraph(5, [(0, 1), (1, 2), (3, 4)])
         is_ref = np.array([True, True, False, False, False])
         scores = score_components(g, is_ref)
         first, second = scores
@@ -247,12 +245,12 @@ class TestComponentFormulas:
 
 class TestNetworkScores:
     def test_balanced_heterogeneous_component(self):
-        g = graph_from_edges(4, [(0, 2), (1, 3)])
+        g = NeighborhoodGraph(4, [(0, 2), (1, 3)])
         c, q = network_scores(g, np.array([True, True, False, False]))
         assert (c, q) == (1.0, 1.0)
 
     def test_zero_edges_zero_quality(self):
-        g = graph_from_edges(3, [])
+        g = NeighborhoodGraph(3, [])
         c, q = network_scores(g, np.array([True, False, False]))
         assert q == 0.0
 
@@ -260,19 +258,19 @@ class TestNetworkScores:
         n, edges = 5, [(0, 1), (1, 2), (3, 4)]
         is_ref = np.array([True, True, False, False, False])
         oracle = dca_scores_fractions(n, edges, (~is_ref).tolist())
-        c, q = network_scores(graph_from_edges(n, edges), is_ref)
+        c, q = network_scores(NeighborhoodGraph(n, edges), is_ref)
         assert c == pytest.approx(float(oracle["network_consistency"]), abs=1e-15)
         assert q == pytest.approx(float(oracle["network_quality"]), abs=1e-15)
 
 
 class TestFundamentalAndPrecisionRecall:
     def test_all_one_sided_empty(self):
-        g = graph_from_edges(4, [(0, 1), (2, 3)])
+        g = NeighborhoodGraph(4, [(0, 1), (2, 3)])
         scores = score_components(g, np.array([True, True, False, False]))
         assert fundamental_components(scores) == ()
 
     def test_single_balanced_heterogeneous_all(self):
-        g = graph_from_edges(2, [(0, 1)])
+        g = NeighborhoodGraph(2, [(0, 1)])
         scores = score_components(g, np.array([True, False]))
         assert fundamental_components(scores) == (0, 1)
 
@@ -280,7 +278,7 @@ class TestFundamentalAndPrecisionRecall:
         gen = np.random.default_rng(11)
         for _ in range(60):
             n, edges, is_ref = random_labeled_graph(gen)
-            scores = score_components(graph_from_edges(n, edges), is_ref)
+            scores = score_components(NeighborhoodGraph(n, edges), is_ref)
             oracle = dca_scores_fractions(n, edges, [not r for r in is_ref])
             expected = sorted(
                 v for v in range(n) if oracle["components"][v] in oracle["fundamental"]
@@ -342,7 +340,7 @@ class TestInvariances:
         gen = np.random.default_rng(23)
         for _ in range(50):
             n, edges, is_ref = random_labeled_graph(gen)
-            g = graph_from_edges(n, edges)
+            g = NeighborhoodGraph(n, edges)
             a = score_components(g, is_ref)
             b = score_components(g, ~np.asarray(is_ref))
             for sa, sb in zip(a, b):

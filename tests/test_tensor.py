@@ -1,10 +1,11 @@
-"""The tape engine, the `dense` node and the plain layer functions.
+"""The tape engine and the plain layer functions.
 
-The tests that name `matmul`, `add`, `scale`, `exp`, `log`, `sum`, `dot`,
-`row_normalize` or `softmax_cross_entropy` check the tape primitives in
-`tests/_oracles.py`. They make up the chains that the one-node contrastive
-loss and the one-node probe step must match byte for byte, so those
-references are themselves held to scalar loops and central differences.
+The tests that name `dense`, `matmul`, `add`, `scale`, `exp`, `log`, `sum`,
+`dot`, `row_normalize` or `softmax_cross_entropy` check the tape nodes in
+`tests/_oracles.py`. They make up the per-layer paths and chains that the
+one-node GMC step, contrastive loss and probe step must match byte for
+byte, so those references are themselves held to scalar loops and central
+differences.
 """
 
 import math
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import add, dot, exp, log, matmul, row_normalize, scale, softmax_cross_entropy, tsum
+from _oracles import add, dense, dot, exp, log, matmul, row_normalize, scale, softmax_cross_entropy, tsum
 from gmc import tensor as T
 from gmc.errors import ContractError, DomainError, ShapeError
 from gmc.loss import RepresentationBatch, mnt_xent
@@ -34,8 +35,8 @@ def _total(h: Tensor) -> Tensor:
     """The sum of a 2-D tensor's entries as a (1, 1) tensor, through two
     `dense` nodes with all-ones weights."""
     b, n = h.shape
-    col_sums = T.dense(Tensor(np.ones((1, b))), h, Tensor(np.zeros(n)))
-    return T.dense(col_sums, Tensor(np.ones((n, 1))), Tensor(np.zeros(1)))
+    col_sums = dense(Tensor(np.ones((1, b))), h, Tensor(np.zeros(n)))
+    return dense(col_sums, Tensor(np.ones((n, 1))), Tensor(np.zeros(1)))
 
 
 def test_dot_matches_scalar_loop():
@@ -64,7 +65,7 @@ def test_matmul_transpose_flags(ta, tb):
 def _identity_layer(x: Tensor, activation):
     """dense with an identity weight and zero bias: the bare activation."""
     n = x.shape[1]
-    return T.dense(x, Tensor(np.eye(n)), Tensor(np.zeros(n)), activation)
+    return dense(x, Tensor(np.eye(n)), Tensor(np.zeros(n)), activation)
 
 
 def test_swish_at_zero_is_zero():
@@ -101,12 +102,12 @@ def test_fanout_gradients_accumulate():
     x = Tensor([[3.0]], requires_grad=True)
     zero = Tensor([0.0])
     with Tape() as tape:
-        y = T.dense(T.dense(x, x, zero), x, zero)
+        y = dense(dense(x, x, zero), x, zero)
     tape.backward(y)
     assert np.array_equal(x.grad, [[27.0]])
     # A second backward adds on top instead of resetting.
     with Tape() as tape:
-        y = T.dense(x, Tensor([[1.0]]), zero)
+        y = dense(x, Tensor([[1.0]]), zero)
     tape.backward(y)
     assert np.array_equal(x.grad, [[28.0]])
 
@@ -115,7 +116,7 @@ def test_bias_add_gradient_sums_rows():
     x = Tensor(np.ones((4, 3)), requires_grad=True)
     b = Tensor([1.0, 2.0, 3.0], requires_grad=True)
     with Tape() as tape:
-        y = _total(T.dense(x, Tensor(np.eye(3)), b))
+        y = _total(dense(x, Tensor(np.eye(3)), b))
     tape.backward(y)
     assert np.array_equal(b.grad, [4.0, 4.0, 4.0])
     assert np.array_equal(x.grad, np.ones((4, 3)))
@@ -124,7 +125,7 @@ def test_bias_add_gradient_sums_rows():
 def test_dense_skips_input_gradient_it_does_not_need():
     w = Tensor(np.ones((3, 2)), requires_grad=True)
     with Tape() as tape:
-        y = _total(T.dense(Tensor(np.ones((4, 3))), w, Tensor(np.zeros(2)), "relu"))
+        y = _total(dense(Tensor(np.ones((4, 3))), w, Tensor(np.zeros(2)), "relu"))
     gx, gw, gb = tape._nodes[0].bwd(np.ones((4, 2)))
     assert gx is None and gw.shape == (3, 2) and gb.shape == (2,)
     tape.backward(y)
@@ -142,11 +143,11 @@ _SCALAR_CASES = {
     "matmul": lambda t: tsum(matmul(t, Tensor(np.linspace(-1, 1, 12).reshape(4, 3)))),
     "matmul_t": lambda t: tsum(matmul(t, Tensor(np.linspace(-2, 1, 12).reshape(3, 4)), transpose_b=True)),
     "add": lambda t: tsum(add(t, Tensor(np.ones((3, 4))))),
-    "bias": lambda t: _total(T.dense(Tensor(np.ones((5, 2))), Tensor(np.ones((2, 4))), tsum(t, axis=0))),
+    "bias": lambda t: _total(dense(Tensor(np.ones((5, 2))), Tensor(np.ones((2, 4))), tsum(t, axis=0))),
     "scale": lambda t: tsum(scale(t, -1.7)),
     "relu": lambda t: _total(_identity_layer(t, "relu")),
     "swish": lambda t: _total(_identity_layer(t, "swish")),
-    "dense_w": lambda t: _total(T.dense(Tensor(np.linspace(-1, 1, 6).reshape(2, 3)), t, Tensor(np.ones(4)), "swish")),
+    "dense_w": lambda t: _total(dense(Tensor(np.linspace(-1, 1, 6).reshape(2, 3)), t, Tensor(np.ones(4)), "swish")),
     "exp": lambda t: tsum(exp(t)),
     "sum_axis": lambda t: tsum(scale(tsum(t, axis=0), 0.5)),
     "dot": lambda t: dot(t, Tensor(np.linspace(1, 2, 12).reshape(3, 4))),
@@ -182,11 +183,11 @@ def test_swish_gradient_anywhere(values):
 
 def test_shape_error_names_primitive_and_shapes():
     with pytest.raises(ShapeError) as info:
-        T.dense(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
+        dense(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
     assert "dense" in str(info.value)
     assert "(2, 3)" in str(info.value)
     with pytest.raises(ShapeError, match="dense"):
-        T.dense(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
+        dense(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
     with pytest.raises(ShapeError, match="softmax_cross_entropy"):
         T.softmax_cross_entropy_forward(np.ones((2, 3)), np.eye(3))
     with pytest.raises(ShapeError, match="matmul"):
@@ -207,7 +208,7 @@ def test_log_rejects_non_positive_input():
 def test_backward_contract_checks():
     x = Tensor(np.ones((1, 3)), requires_grad=True)
     with Tape() as tape:
-        y = T.dense(x, Tensor(np.eye(3)), Tensor(np.zeros(3)))
+        y = dense(x, Tensor(np.eye(3)), Tensor(np.zeros(3)))
     with pytest.raises(ContractError):
         tape.backward(y)  # not scalar
     loose = _total(Tensor(np.ones((1, 2)), requires_grad=True))
@@ -221,7 +222,7 @@ def test_forward_identical_with_and_without_gradients():
     w = rng.normal(size=(3, 2))
 
     def pipeline(xt, wt):
-        return _total(T.dense(xt, wt, Tensor(np.zeros(2)), "swish"))
+        return _total(dense(xt, wt, Tensor(np.zeros(2)), "swish"))
 
     plain = pipeline(Tensor(x), Tensor(w))
     with Tape():
@@ -244,7 +245,7 @@ def test_tapes_are_independent_across_threads():
         bias = Tensor(np.linspace(-1, 1, 8))
         for _ in range(20):
             with Tape() as tape:
-                y = _total(T.dense(x, x, bias, "swish"))
+                y = _total(dense(x, x, bias, "swish"))
             x.grad = None
             tape.backward(y)
             results[(tag, "grad")] = x.grad.copy()
@@ -258,7 +259,7 @@ def test_tapes_are_independent_across_threads():
     for i in range(4):
         x = results[(i, "x")]
         expect = grad_check(
-            lambda t: _total(T.dense(t, t, Tensor(np.linspace(-1, 1, 8)), "swish")), Tensor(x.data)
+            lambda t: _total(dense(t, t, Tensor(np.linspace(-1, 1, 8)), "swish")), Tensor(x.data)
         )
         assert expect < 1e-5
         assert np.all(np.isfinite(results[(i, "grad")]))
@@ -268,5 +269,5 @@ def test_grad_check_reports_non_finite_as_inf():
     x = Tensor([[700.0, 710.0]])
     w = Tensor([[1e306], [1e306]])
     with np.errstate(over="ignore", invalid="ignore"):
-        err = grad_check(lambda t: _total(T.dense(t, w, Tensor([0.0]))), x)
+        err = grad_check(lambda t: _total(dense(t, w, Tensor([0.0]))), x)
     assert err == math.inf
