@@ -22,7 +22,7 @@ from .errors import (
 from .tensor import Tape, Tensor, grad_check
 from .loss import RepresentationBatch, mnt_xent, mnt_xent_ablated
 from .synthdata import MultimodalDataset, SynthConfig, generate
-from .model import EncoderSpec, GmcModel, TrainConfig, TrainResult, batch_loss, train
+from .model import EncoderSpec, GmcModel, ModelConfig, TrainConfig, TrainResult, batch_loss, train
 from .downstream import (
     ProbeClassifier,
     ProbeConfig,
@@ -47,6 +47,7 @@ __all__ = [
     "generate",
     "EncoderSpec",
     "GmcModel",
+    "ModelConfig",
     "TrainConfig",
     "TrainResult",
     "train",

@@ -25,16 +25,8 @@ import numpy as np
 from . import __version__
 from .dca import DcaReport, evaluate_alignment
 from .downstream import ProbeConfig, evaluate_robustness, train_probe
-from .errors import (
-    ConfigError,
-    ContractError,
-    DataError,
-    DomainError,
-    NumericError,
-    ShapeError,
-    require_integer,
-)
-from .model import GmcModel, TrainConfig, train
+from .errors import ConfigError, ContractError, DataError, DomainError, NumericError, ShapeError
+from .model import GmcModel, ModelConfig, TrainConfig, train
 from .persist import (
     hash_entry,
     load_checkpoint,
@@ -48,12 +40,6 @@ from .persist import (
     write_manifest,
 )
 from .synthdata import SynthConfig, generate
-
-_SYNTH_KEYS = {f.name for f in dataclasses.fields(SynthConfig)}
-_TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)} | {"model"}
-_PROBE_KEYS = {f.name for f in dataclasses.fields(ProbeConfig)}
-_MODEL_KEYS = {"d", "s", "hidden", "activation", "seed"}
-_MODEL_DEFAULTS = {"d": 64, "s": 64, "hidden": 64, "activation": "swish"}
 
 # sweep axes, in the order grid points are enumerated
 _SWEEP_TOP_AXES = ("tau", "loss_variant")
@@ -90,83 +76,38 @@ def _load_json_config(path) -> dict:
     return obj
 
 
-def _reject_unknown_keys(obj: dict, allowed: set, prefix: str = "") -> None:
-    for key in obj:
-        if key not in allowed:
+def _resolve(cls, raw, where: str, prefix: str = "", **overrides):
+    """The config dataclass `cls` from the JSON object `raw`.
+
+    A key that is not a field of `cls` is rejected, and an override that is
+    not None replaces the raw value. Every error names its key as `prefix`
+    followed by the field; one raised outside the field checks names `where`.
+    """
+    names = {f.name for f in dataclasses.fields(cls)}
+    for key in raw:
+        if key not in names:
             raise ConfigError(f"{prefix}{key}", "unknown config key")
-
-
-def _tupled(obj: dict) -> dict:
-    """JSON arrays become tuples so they can feed frozen dataclasses."""
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()}
-
-
-def _build(cls, kwargs: dict, where: str):
+    # JSON arrays become tuples so they can feed frozen dataclasses
+    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
+    kwargs.update((k, v) for k, v in overrides.items() if v is not None)
     try:
-        return cls(**_tupled(kwargs))
-    except ConfigError:
-        raise
+        return cls(**kwargs)
+    except ConfigError as err:
+        raise ConfigError(f"{prefix}{err.key}", err.message) from None
     except (TypeError, ValueError) as err:
         raise ConfigError(where, str(err)) from err
 
 
-def resolve_synth_config(raw: dict, seed: int | None) -> SynthConfig:
-    _reject_unknown_keys(raw, _SYNTH_KEYS)
-    raw = dict(raw)
-    if seed is not None:
-        raw["seed"] = seed
-    return _build(SynthConfig, raw, "gen-data config")
-
-
-def resolve_train_config(
-    raw: dict, seed: int | None, loss: str | None
-) -> tuple[TrainConfig, dict]:
-    """Split a train config into the TrainConfig and the model kwargs.
-
-    The optional "model" section covers architecture; its seed defaults to
-    the training seed so one --seed reseeds the whole run.
-    """
-    _reject_unknown_keys(raw, _TRAIN_KEYS)
+def resolve_train_config(raw: dict, seed: int | None, loss: str | None) -> tuple[TrainConfig, ModelConfig]:
+    """A train config's TrainConfig and the ModelConfig of its optional
+    "model" section, whose seed defaults to the training seed so one --seed
+    reseeds the whole run."""
     raw = dict(raw)
     model_raw = raw.pop("model", {})
+    config = _resolve(TrainConfig, raw, "train config", seed=seed, loss_variant=loss)
     if not isinstance(model_raw, dict):
         raise ConfigError("model", "must be a JSON object")
-    _reject_unknown_keys(model_raw, _MODEL_KEYS, "model.")
-    if seed is not None:
-        raw["seed"] = seed
-    if loss is not None:
-        raw["loss_variant"] = loss
-    config = _build(TrainConfig, raw, "train config")
-    model_kwargs = dict(_MODEL_DEFAULTS, seed=config.seed)
-    model_kwargs.update(model_raw)
-    for key in ("d", "s", "hidden", "seed"):
-        require_integer(f"model.{key}", model_kwargs[key])
-    for key in ("d", "s", "hidden"):
-        if model_kwargs[key] < 1:
-            raise ConfigError(f"model.{key}", f"must be positive, got {model_kwargs[key]!r}")
-    return config, model_kwargs
-
-
-def resolve_probe_config(raw: dict, seed: int | None) -> ProbeConfig:
-    _reject_unknown_keys(raw, _PROBE_KEYS)
-    raw = dict(raw)
-    if seed is not None:
-        raw["seed"] = seed
-    return _build(ProbeConfig, raw, "probe config")
-
-
-def _jsonable(value):
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        value = dataclasses.asdict(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
+    return config, _resolve(ModelConfig, {"seed": config.seed, **model_raw}, "model", "model.")
 
 
 def _dataset_input_hashes(dataset_dir, modality_count: int, digests: dict) -> dict:
@@ -188,19 +129,18 @@ def _check_model_matches_dataset(model: GmcModel, dataset) -> None:
 
 
 def cmd_gen_data(args) -> None:
-    config = resolve_synth_config(_load_json_config(args.config), args.seed)
+    config = _resolve(SynthConfig, _load_json_config(args.config), "gen-data config", seed=args.seed)
     dataset = generate(config)
     out = Path(args.out)
     written = save_dataset(out, dataset)
-    write_manifest(out / "manifest.json", "gen-data", _jsonable(config), inputs={}, outputs=written)
+    write_manifest(out / "manifest.json", "gen-data", dataclasses.asdict(config), inputs={}, outputs=written)
     print(f"wrote {len(written)} dataset files to {args.out}")
 
 
-def _train_and_write(dataset, config: TrainConfig, model_kwargs: dict, out: Path):
+def _train_and_write(dataset, config: TrainConfig, model_config: ModelConfig, out: Path):
     """Build and train a model; write checkpoint.gmc and loss_trace.csv into
     `out`. Returns the model, the training result and what was written."""
-    dims = tuple(x.shape[1] for x in dataset.modalities)
-    model = GmcModel.build(dims, **model_kwargs)
+    model = GmcModel.build(tuple(x.shape[1] for x in dataset.modalities), model_config)
     result = train(model, dataset, config)
     out.mkdir(parents=True, exist_ok=True)
     written = save_checkpoint(out / "checkpoint.gmc", model)
@@ -216,17 +156,15 @@ def _train_and_write(dataset, config: TrainConfig, model_kwargs: dict, out: Path
 
 
 def cmd_train(args) -> None:
-    config, model_kwargs = resolve_train_config(
-        _load_json_config(args.config), args.seed, args.loss
-    )
+    config, model_config = resolve_train_config(_load_json_config(args.config), args.seed, args.loss)
     out = Path(args.out)
     digests = {}
     dataset = load_dataset(args.dataset, digests)
-    model, result, written = _train_and_write(dataset, config, model_kwargs, out)
+    model, result, written = _train_and_write(dataset, config, model_config, out)
     write_manifest(
         out / "manifest.json",
         "train",
-        {"train": _jsonable(config), "model": _jsonable(model_kwargs)},
+        {"train": dataclasses.asdict(config), "model": dataclasses.asdict(model_config)},
         inputs={"dataset": _dataset_input_hashes(args.dataset, model.modality_count, digests)},
         outputs=written,
     )
@@ -355,7 +293,7 @@ def _probe_and_write(model: GmcModel, dataset, config: ProbeConfig, out: Path):
 
 
 def cmd_eval_probe(args) -> None:
-    config = resolve_probe_config(_load_json_config(args.config), args.seed)
+    config = _resolve(ProbeConfig, _load_json_config(args.config), "probe config", seed=args.seed)
     digests = {}
     model = load_checkpoint(args.checkpoint, digests)
     dataset = load_dataset(args.dataset, digests)
@@ -365,7 +303,7 @@ def cmd_eval_probe(args) -> None:
     write_manifest(
         out / "manifest.json",
         "eval-probe",
-        _jsonable(config),
+        dataclasses.asdict(config),
         inputs={
             "checkpoint": hash_entry(args.checkpoint, digests),
             "dataset": _dataset_input_hashes(args.dataset, model.modality_count, digests),
@@ -424,14 +362,15 @@ def _grid_points(base: dict, axes: list[tuple[str, list]]) -> list[tuple[str, di
     return points
 
 
-def run_sweep_point(dataset, dataset_dir: str, digests: dict, run_dir: str, raw_config: dict) -> dict:
+def run_sweep_point(
+    dataset, dataset_dir: str, digests: dict, run_dir: str, config: TrainConfig, model_config: ModelConfig
+) -> dict:
     """Train one grid point and measure it: probe accuracies per pathway,
     the DCA harmonic of each (complete, modality) embedding pair and the
     record of the point's manifest. `dataset` is the sweep's parse of
     `dataset_dir`, and `digests` the sha256s that parse recorded."""
-    config, model_kwargs = resolve_train_config(raw_config, None, None)
     out = Path(run_dir)
-    model, _, written = _train_and_write(dataset, config, model_kwargs, out)
+    model, _, written = _train_and_write(dataset, config, model_config, out)
     table, probed = _probe_and_write(model, dataset, ProbeConfig(seed=config.seed), out)
     written |= probed
     z_complete = model.encode_complete(dataset.complete_view("test")).data
@@ -443,7 +382,7 @@ def run_sweep_point(dataset, dataset_dir: str, digests: dict, run_dir: str, raw_
     manifest = write_manifest(
         out / "manifest.json",
         "sweep-point",
-        {"train": _jsonable(config), "model": _jsonable(model_kwargs)},
+        {"train": dataclasses.asdict(config), "model": dataclasses.asdict(model_config)},
         inputs={"dataset": _dataset_input_hashes(dataset_dir, model.modality_count, digests)},
         outputs=written,
     )
@@ -477,17 +416,17 @@ def cmd_sweep(args) -> None:
         raw["seed"] = args.seed
     base, axes = _sweep_axes(raw)
     points = _grid_points(base, axes)
-    for _, raw_config in points:  # fail fast, before any point trains
-        resolve_train_config(raw_config, None, None)
+    # every point is resolved before any input is read
+    configs = [resolve_train_config(raw_config, None, None) for _, raw_config in points]
     digests = {}
     dataset = load_dataset(args.dataset, digests)
     modality_count = len(dataset.modalities)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = []
-    for i, (label, raw_config) in enumerate(points):
-        run_dir = out / f"run_{i:03d}_{label}"
-        jobs.append((dataset, args.dataset, digests, str(run_dir), raw_config))
+    jobs = [
+        (dataset, args.dataset, digests, str(out / f"run_{i:03d}_{label}"), *configs[i])
+        for i, (label, _) in enumerate(points)
+    ]
     workers = _worker_count(len(jobs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a sweep pays its import
@@ -512,7 +451,7 @@ def cmd_sweep(args) -> None:
     write_manifest(
         out / "manifest.json",
         "sweep",
-        {"base": _jsonable(base), "axes": _jsonable(dict(axes))},
+        {"base": base, "axes": dict(axes)},
         inputs={"dataset": _dataset_input_hashes(args.dataset, modality_count, digests)},
         outputs=written,
     )
@@ -588,22 +527,15 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         args.func(args)
+        return 0
     except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except NumericError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 4
-    except DomainError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 4
-    except (DataError, ShapeError, ContractError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    return 0
+        code, error = 2, err
+    except (NumericError, DomainError) as err:
+        code, error = 4, err
+    except (DataError, ShapeError, ContractError, OSError) as err:
+        code, error = 3, err
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 def console_entry() -> None:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError, ShapeError, require_integer
-from .model import EncoderSpec, GmcModel, ParameterSet, check_loop_config, fit, init_mlp_params
+from .model import EncoderSpec, GmcModel, LoopConfig, ParameterSet, fit, init_mlp_params
 from .tensor import (
     Tensor,
     _record,
@@ -26,22 +26,17 @@ from .tensor import (
 
 
 @dataclass(frozen=True)
-class ProbeConfig:
+class ProbeConfig(LoopConfig):
     epochs: int = 50
-    batch_size: int = 64
-    learning_rate: float = 1e-3
     hidden: tuple[int, ...] = (256, 128)
-    seed: int = 0
-    optimizer: str = "adam"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
+        if not isinstance(self.hidden, (tuple, list)):
+            raise ConfigError("hidden", f"must be a list of integers, got {self.hidden!r}")
         for h in self.hidden:
             require_integer("hidden", h)
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        check_loop_config(self)
+        super().__post_init__()
         if any(h < 1 for h in self.hidden):
             raise ConfigError("hidden", "hidden widths must be positive")
 
@@ -49,7 +44,7 @@ class ProbeConfig:
 class ProbeClassifier(ParameterSet):
     """ReLU MLP over latents: s -> hidden widths -> C logits."""
 
-    def __init__(self, latent_dim: int, n_classes: int, hidden=(256, 128), seed: int = 0):
+    def __init__(self, latent_dim: int, n_classes: int, hidden=ProbeConfig.hidden, seed: int = 0):
         if n_classes < 2:
             raise ConfigError("n_classes", "need at least 2 classes")
         self.spec = EncoderSpec(

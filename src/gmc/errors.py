@@ -56,6 +56,7 @@ class ConfigError(GmcError):
 
     def __init__(self, key: str, message: str):
         self.key = key
+        self.message = message
         super().__init__(f"config key '{key}': {message}")
 
 

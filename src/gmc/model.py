@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,6 +23,28 @@ from . import rng
 from .errors import ConfigError, DomainError, NumericError, ShapeError, require_integer, require_number
 from .loss import RepresentationBatch, contrastive_loss
 from .tensor import ACTIVATIONS, Tape, Tensor, _record, mlp_backward, mlp_forward
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    """The architecture `GmcModel.build` makes: every base encoder is
+    [input -> hidden -> d], the shared head [d -> hidden -> s], each with
+    `activation` on its hidden layer; `seed` keys the parameter init."""
+
+    d: int = 64
+    s: int = 64
+    hidden: int = 64
+    activation: str = "swish"
+    seed: int = 0
+
+    def __post_init__(self):
+        for key in ("d", "s", "hidden", "seed"):
+            require_integer(key, getattr(self, key))
+        for key in ("d", "s", "hidden"):
+            if getattr(self, key) < 1:
+                raise ConfigError(key, f"must be positive, got {getattr(self, key)!r}")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError("activation", f"unknown activation {self.activation!r}")
 
 
 @dataclass(frozen=True)
@@ -45,7 +67,7 @@ class EncoderSpec:
             raise ConfigError("widths", "all widths must be positive")
         acts = self.activations
         if acts is None:
-            acts = ("swish",) * (len(widths) - 2)
+            acts = (ModelConfig.activation,) * (len(widths) - 2)
         acts = tuple(acts)
         object.__setattr__(self, "activations", acts)
         if len(acts) != len(widths) - 2:
@@ -213,21 +235,15 @@ class GmcModel(ParameterSet):
         self._init_parameters(values)
 
     @classmethod
-    def build(
-        cls,
-        modality_dims: Sequence[int],
-        d: int = 64,
-        s: int = 64,
-        hidden: int = 64,
-        activation: str = "swish",
-        seed: int = 0,
-    ) -> "GmcModel":
-        """Desk-scale default: every encoder is [input -> hidden -> out]."""
+    def build(cls, modality_dims: Sequence[int], config: ModelConfig = ModelConfig(), **fields) -> "GmcModel":
+        """The model `config` describes, for these modality widths; keyword
+        arguments replace fields of `config` (`build(dims, d=8, seed=1)`)."""
+        c = replace(config, **fields)
         dims = tuple(int(x) for x in modality_dims)
-        specs = [EncoderSpec((dim, hidden, d), (activation,)) for dim in dims]
-        specs.append(EncoderSpec((sum(dims), hidden, d), (activation,)))
-        head = EncoderSpec((d, hidden, s), (activation,))
-        return cls(specs, head, seed=seed)
+        specs = [EncoderSpec((dim, c.hidden, c.d), (c.activation,)) for dim in dims]
+        specs.append(EncoderSpec((sum(dims), c.hidden, c.d), (c.activation,)))
+        head = EncoderSpec((c.d, c.hidden, c.s), (c.activation,))
+        return cls(specs, head, seed=c.seed)
 
     def _named_specs(self):
         m = self.modality_count
@@ -284,14 +300,6 @@ class GmcModel(ParameterSet):
         return self.encode_modality(int(pathway), x)
 
 
-def encode_batch(model: GmcModel, modality_arrays: Sequence, complete_array) -> RepresentationBatch:
-    """Push one sample-aligned batch through every pathway."""
-    per_modality = [model.encode_modality(m, x) for m, x in enumerate(modality_arrays)]
-    if len(per_modality) != model.modality_count:
-        raise ConfigError("modalities", "one array per modality required")
-    return RepresentationBatch(per_modality, model.encode_complete(complete_array))
-
-
 def batch_loss(model: GmcModel, modality_arrays, complete_array, tau, variant: str = "full") -> Tensor:
     """The contrastive loss of one batch as one tape node over every
     parameter of `model`, whose backward writes the model's gradient buffer.
@@ -326,37 +334,43 @@ def batch_loss(model: GmcModel, modality_arrays, complete_array, tau, variant: s
 # --- training -----------------------------------------------------------------
 
 
-def check_loop_config(config) -> None:
-    """Validation shared by the configs that drive `fit`."""
-    for key in ("epochs", "batch_size", "seed"):
-        require_integer(key, getattr(config, key))
-    if config.epochs < 1:
-        raise ConfigError("epochs", "must be positive")
-    if config.batch_size < 1:
-        raise ConfigError("batch_size", "must be positive")
-    require_number("learning_rate", config.learning_rate)
-    require_number("adam_beta1", config.adam_beta1, below=1.0)
-    require_number("adam_beta2", config.adam_beta2, below=1.0)
-    require_number("adam_eps", config.adam_eps, positive=True)
-    if config.optimizer not in ("adam", "sgd"):
-        raise ConfigError("optimizer", f"unknown optimizer {config.optimizer!r}")
-
-
 @dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 100
+class LoopConfig:
+    """The fields, and their checks, of every config that drives `fit`;
+    each subclass sets its own default number of epochs."""
+
+    epochs: int
     batch_size: int = 64
     learning_rate: float = 1e-3
-    tau: float = 0.1
     seed: int = 0
-    loss_variant: str = "full"
     optimizer: str = "adam"
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
 
     def __post_init__(self):
-        check_loop_config(self)
+        for key in ("epochs", "batch_size", "seed"):
+            require_integer(key, getattr(self, key))
+        if self.epochs < 1:
+            raise ConfigError("epochs", "must be positive")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size", "must be positive")
+        require_number("learning_rate", self.learning_rate)
+        require_number("adam_beta1", self.adam_beta1, below=1.0)
+        require_number("adam_beta2", self.adam_beta2, below=1.0)
+        require_number("adam_eps", self.adam_eps, positive=True)
+        if self.optimizer not in ("adam", "sgd"):
+            raise ConfigError("optimizer", f"unknown optimizer {self.optimizer!r}")
+
+
+@dataclass(frozen=True)
+class TrainConfig(LoopConfig):
+    epochs: int = 100
+    tau: float = 0.1
+    loss_variant: str = "full"
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.batch_size < 2:
             raise ConfigError("batch_size", "contrastive batches need at least 2 samples")
         require_number("tau", self.tau, positive=True)
@@ -434,7 +448,7 @@ def fit(
     params: ParameterSet,
     loss_fn: Callable[[np.ndarray], Tensor],
     n: int,
-    config,
+    config: LoopConfig,
     purpose: int,
     min_batch: int,
     what: str,

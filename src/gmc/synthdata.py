@@ -38,6 +38,8 @@ class SynthConfig:
     def __post_init__(self):
         for key in ("n_samples", "n_classes", "style_dim", "seed"):
             require_integer(key, getattr(self, key))
+        if not isinstance(self.modality_dims, (tuple, list)):
+            raise ConfigError("modality_dims", f"must be a list of integers, got {self.modality_dims!r}")
         for d in self.modality_dims:
             require_integer("modality_dims", d)
         object.__setattr__(self, "modality_dims", tuple(int(d) for d in self.modality_dims))

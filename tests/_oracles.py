@@ -120,13 +120,16 @@ def components_bfs(n, edges):
     return comp
 
 
-def dca_scores_fractions(n, edges, is_eval):
+def dca_scores_fractions(n, edges, is_eval, comp=None):
     """Exact rational alignment scores for one labeled graph.
 
+    `comp` is the graph's `components_bfs(n, edges)`, computed here if not
+    given; a caller scoring many labelings of one graph passes it in.
     Returns a dict with per-component tuples and the network-level values,
     all as Fractions (or exact ints where natural).
     """
-    comp = components_bfs(n, edges)
+    if comp is None:
+        comp = components_bfs(n, edges)
     k = max(comp) + 1 if n else 0
     n_ref = [0] * k
     n_ev = [0] * k

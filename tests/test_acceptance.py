@@ -214,9 +214,10 @@ def _labelings(n):
     return out
 
 
-def _scores_match_oracle(report, n, edges, is_eval):
-    """Assert one report equals the Fraction oracle; return worst |diff|."""
-    oracle = dca_scores_fractions(n, edges, is_eval)
+def _scores_match_oracle(report, n, edges, is_eval, comp):
+    """Assert one report equals the Fraction oracle, given the graph's
+    `components_bfs` ids; return worst |diff|."""
+    oracle = dca_scores_fractions(n, edges, is_eval, comp)
     occ = oracle["component_consistency"]
     ocq = oracle["component_quality"]
     assert len(report.components) == len(occ)
@@ -246,11 +247,13 @@ def _scores_match_oracle(report, n, edges, is_eval):
 
 
 def _partition_matches_bfs(graph, n, edges):
+    """Assert the graph's components are the BFS oracle's; return its ids."""
     ids = components_bfs(n, edges)
     groups = {}
     for v, c in enumerate(ids):
         groups.setdefault(c, []).append(v)
     assert graph.components == tuple(tuple(groups[c]) for c in sorted(groups))
+    return ids
 
 
 def _perm_mask_table(n, perm, slots, index):
@@ -332,9 +335,9 @@ def test_criterion_3_alignment_scores_exhaustive_small_graphs(capsys):
         for mask in range(1 << len(slots)):
             edges = _mask_edges(mask, slots)
             graph = NeighborhoodGraph(n, edges)
-            _partition_matches_bfs(graph, n, edges)
+            comp = _partition_matches_bfs(graph, n, edges)
             for ref, is_eval in labelings:
-                d = _scores_match_oracle(score_labeled_graph(graph, ref), n, edges, is_eval)
+                d = _scores_match_oracle(score_labeled_graph(graph, ref), n, edges, is_eval, comp)
                 if d > worst:
                     worst = d
                 instances += 1
@@ -355,9 +358,9 @@ def test_criterion_3_alignment_scores_exhaustive_small_graphs(capsys):
         for mask in reps.tolist():
             edges = _mask_edges(mask, slots)
             graph = NeighborhoodGraph(n, edges)
-            _partition_matches_bfs(graph, n, edges)
+            comp = _partition_matches_bfs(graph, n, edges)
             for ref, is_eval in labelings:
-                d = _scores_match_oracle(score_labeled_graph(graph, ref), n, edges, is_eval)
+                d = _scores_match_oracle(score_labeled_graph(graph, ref), n, edges, is_eval, comp)
                 if d > worst:
                     worst = d
                 instances += 1

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,7 +15,10 @@ import pytest
 import gmc
 import gmc.persist
 from gmc.cli import main, pca_2d
+from gmc.downstream import ProbeConfig
+from gmc.model import ModelConfig, TrainConfig
 from gmc.persist import load_checkpoint, read_matrix_csv
+from gmc.synthdata import SynthConfig
 
 # Hashes of the default-config dataset, frozen at first build. A change here
 # means generation order or formatting drifted and old manifests are stale.
@@ -569,14 +573,23 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--dataset", str(workdir / "data"), "--out", str(tmp_path / "par")]) == 0
         assert (tmp_path / "seq" / "aggregate.csv").read_bytes() == (tmp_path / "par" / "aggregate.csv").read_bytes()
 
-    def test_config_error_in_a_worker_exits_two(self, workdir, tmp_path, capsys, monkeypatch):
-        # the activation is checked only when a worker builds its model
+    def test_numeric_error_in_a_worker_exits_four(self, workdir, tmp_path, capsys, monkeypatch):
+        # exp(cos / tau) overflows at tau = 1e-3 while a pool worker trains,
+        # so the error has to cross the process pool to reach main
         monkeypatch.setenv("GMC_THREADS", "2")
-        cfg = write_json(tmp_path / "s.json", {**TRAIN, "tau": [0.1, 0.2], "model": {"activation": "tanh"}})
+        cfg = write_json(tmp_path / "s.json", {**TRAIN, "tau": [0.1, 1e-3]})
         code = main(["sweep", "--config", cfg, "--dataset", str(workdir / "data"), "--out", str(tmp_path / "o")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "non-finite loss" in err
+
+    def test_bad_activation_exits_two_before_the_out_directory(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "s.json", {**TRAIN, "tau": [0.1, 0.2], "model": {"activation": "tanh"}})
+        code = main(["sweep", "--config", cfg, "--dataset", str(tmp_path / "nowhere"), "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.count("error:") == 1 and "activation" in err
+        assert err.count("error:") == 1 and "config key 'model.activation'" in err
+        assert not (tmp_path / "o").exists()
 
     def test_invalid_thread_cap_is_a_config_error(self, workdir, tmp_path, monkeypatch):
         monkeypatch.setenv("GMC_THREADS", "zero")
@@ -904,6 +917,33 @@ class TestFloatConfigKeys:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "Traceback" not in err
+
+
+class TestWrongConfigValues:
+    """"x" is a wrong value for every config key, and so is a number for a
+    list. The error names the key's path before any input is read: every
+    input path here is missing."""
+
+    @pytest.mark.parametrize(
+        "command, path, value",
+        [("gen-data", f.name, "x") for f in fields(SynthConfig)]
+        + [("train", f.name, "x") for f in fields(TrainConfig)]
+        + [("train", f"model.{f.name}", "x") for f in fields(ModelConfig)]
+        + [("eval-probe", f.name, "x") for f in fields(ProbeConfig)]
+        + [("gen-data", "modality_dims", 5), ("eval-probe", "hidden", 5)],
+    )
+    def test_wrong_value_is_a_config_error_naming_its_path(self, tmp_path, capsys, command, path, value):
+        key, _, model_key = path.partition(".")
+        config = {"model": {model_key: value}} if model_key else {key: value}
+        args = [command, "--config", write_json(tmp_path / "c.json", config), "--out", str(tmp_path / "o")]
+        if command != "gen-data":
+            args += ["--dataset", str(tmp_path / "nowhere")]
+        if command == "eval-probe":
+            args += ["--checkpoint", str(tmp_path / "nowhere.gmc")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and f"config key '{path}':" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestRepeatedConfigKeys:

@@ -17,13 +17,17 @@ import math
 import random
 import shutil
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gmc.cli import _MODEL_KEYS, _PROBE_KEYS, _SYNTH_KEYS, _TRAIN_KEYS, main
+from gmc.cli import main
+from gmc.downstream import ProbeConfig
+from gmc.model import ModelConfig, TrainConfig
+from gmc.synthdata import SynthConfig
 
 SYNTH = {"n_samples": 40, "n_classes": 3, "modality_dims": [3, 2], "style_dim": 1, "seed": 1}
 TRAIN = {"epochs": 1, "batch_size": 16, "model": {"d": 4, "s": 4, "hidden": 4}}
@@ -86,7 +90,15 @@ def workspace(root, kind):
 
 # --- configs ---------------------------------------------------------------------
 
-CONFIG_KEYS = {"gen-data": _SYNTH_KEYS, "train": _TRAIN_KEYS, "eval-probe": _PROBE_KEYS}
+def field_names(cls):
+    return sorted(f.name for f in fields(cls))
+
+
+CONFIG_KEYS = {
+    "gen-data": field_names(SynthConfig),
+    "train": sorted(field_names(TrainConfig) + ["model"]),
+    "eval-probe": field_names(ProbeConfig),
+}
 # No config key accepts any of these: every key is an integer, a finite
 # number, a bool, a known name, a list of integers or numbers, or (`model`)
 # an object.
@@ -113,10 +125,10 @@ def test_corrupted_config_is_rejected(inputs, kind, fault, pick):
     with workspace(inputs, kind) as work:
         config = dict(json.loads((work / "config.json").read_text()))
         if fault == "wrong_value" or (fault == "model_value" and kind != "train"):
-            key = chooser.choice(sorted(CONFIG_KEYS[kind]))
+            key = chooser.choice(CONFIG_KEYS[kind])
             config[key] = chooser.choice(WRONG_VALUES)
         elif fault == "model_value":
-            key = chooser.choice(sorted(_MODEL_KEYS))
+            key = chooser.choice(field_names(ModelConfig))
             config["model"] = dict(config["model"], **{key: chooser.choice(WRONG_VALUES)})
         elif fault == "unknown_key":
             config["k" + "".join(chooser.choice("abcdefgh_") for _ in range(chooser.randint(0, 6)))] = 1

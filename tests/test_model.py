@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from gmc.errors import ConfigError, DegenerateVectorError, NumericError, ShapeError
-from gmc.loss import mnt_xent
+from gmc.loss import RepresentationBatch, mnt_xent
 from gmc.model import (
     EncoderSpec,
     GmcModel,
     TrainConfig,
     batch_loss,
-    encode_batch,
     train,
 )
 from gmc.synthdata import SynthConfig, generate
@@ -135,10 +134,8 @@ class TestEncode:
         assert np.all(z.data == 0.0)
         # and the loss flags such degenerate latents rather than dividing by ~0
         with pytest.raises(DegenerateVectorError):
-            mnt_xent(
-                encode_batch(model, [np.ones((4, 6)), np.ones((4, 5))], np.ones((4, 11))),
-                0.1,
-            )
+            per_modality = [model.encode_modality(m, np.ones((4, w))) for m, w in enumerate((6, 5))]
+            mnt_xent(RepresentationBatch(per_modality, model.encode_complete(np.ones((4, 11)))), 0.1)
 
     def test_identical_rows_give_identical_outputs(self):
         model = tiny_model()
