@@ -19,8 +19,7 @@ from .errors import (
     NumericError,
     ShapeError,
 )
-from .tensor import Tape, Tensor, grad_check
-from .loss import RepresentationBatch, mnt_xent, mnt_xent_ablated
+from .loss import RepresentationBatch, contrastive_loss
 from .synthdata import MultimodalDataset, SynthConfig, generate
 from .model import EncoderSpec, GmcModel, ModelConfig, TrainConfig, TrainResult, batch_loss, train
 from .downstream import (
@@ -35,11 +34,7 @@ from .persist import load_checkpoint, load_dataset, save_checkpoint, save_datase
 
 __all__ = [
     "__version__",
-    "Tape",
-    "Tensor",
-    "grad_check",
-    "mnt_xent",
-    "mnt_xent_ablated",
+    "contrastive_loss",
     "RepresentationBatch",
     "batch_loss",
     "SynthConfig",

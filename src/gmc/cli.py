@@ -198,7 +198,7 @@ def cmd_encode(args) -> None:
         x = dataset.complete_view(args.split)
     else:
         x = dataset.modality(pathway, args.split)
-    z = model.encode_pathway(pathway, x).data
+    z = model.encode_pathway(pathway, x)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written = write_csv(out / "embeddings.csv", [f"z{j}" for j in range(z.shape[1])], z)
@@ -285,7 +285,7 @@ def _probe_and_write(model: GmcModel, dataset, config: ProbeConfig, out: Path):
     """Train a probe on complete-pathway train latents, score every pathway
     on the test split and write robustness.csv into `out`. Returns the
     accuracy table and what was written."""
-    z_train = model.encode_complete(dataset.complete_view("train")).data
+    z_train = model.encode_complete(dataset.complete_view("train"))
     probe = train_probe(z_train, dataset.labels_view("train"), config=config)
     table = evaluate_robustness(model, probe, dataset, split="test")
     out.mkdir(parents=True, exist_ok=True)
@@ -373,10 +373,10 @@ def run_sweep_point(
     model, _, written = _train_and_write(dataset, config, model_config, out)
     table, probed = _probe_and_write(model, dataset, ProbeConfig(seed=config.seed), out)
     written |= probed
-    z_complete = model.encode_complete(dataset.complete_view("test")).data
+    z_complete = model.encode_complete(dataset.complete_view("test"))
     harmonics = {}
     for m in range(model.modality_count):
-        z_m = model.encode_modality(m, dataset.modality(m, "test")).data
+        z_m = model.encode_modality(m, dataset.modality(m, "test"))
         harmonics[f"modality_{m + 1}"] = evaluate_alignment(z_complete, z_m, k=5).harmonic
     written |= write_csv(out / "dca.csv", ["pathway", "harmonic"], sorted(harmonics.items()))
     manifest = write_manifest(
@@ -534,6 +534,8 @@ def main(argv=None) -> int:
         code, error = 4, err
     except (DataError, ShapeError, ContractError, OSError) as err:
         code, error = 3, err
+    except MemoryError as err:  # a well-formed but absurd width or class count
+        code, error = 3, f"out of memory: {str(err) or 'allocation failed'}"
     print(f"error: {error}", file=sys.stderr)
     return code
 

@@ -8,6 +8,7 @@ attributable to the geometry of the latent space, not to the probe.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,14 +16,7 @@ import numpy as np
 from . import rng
 from .errors import ConfigError, ShapeError, require_integer
 from .model import EncoderSpec, GmcModel, LoopConfig, ParameterSet, fit, init_mlp_params
-from .tensor import (
-    Tensor,
-    _record,
-    mlp_backward,
-    mlp_forward,
-    softmax_cross_entropy_backward,
-    softmax_cross_entropy_forward,
-)
+from .tensor import mlp_backward, mlp_forward, softmax_cross_entropy_backward, softmax_cross_entropy_forward
 
 
 @dataclass(frozen=True)
@@ -63,13 +57,13 @@ class ProbeClassifier(ParameterSet):
     def n_classes(self) -> int:
         return self.spec.output_dim
 
-    def logits(self, z) -> Tensor:
-        t = self._check_input("probe_logits", z, self.latent_dim)
-        hs, _ = mlp_forward(t.data, self._mlp_arrays("probe", self.spec)[0], self.spec.activations)
-        return Tensor._from_owned(hs[-1])
+    def logits(self, z) -> np.ndarray:
+        z = self._check_input("probe_logits", z, self.latent_dim)
+        hs, _ = mlp_forward(z, self._mlp_arrays("probe", self.spec)[0], self.spec.activations)
+        return hs[-1]
 
     def predict(self, z) -> np.ndarray:
-        return np.argmax(self.logits(z).data, axis=1)
+        return np.argmax(self.logits(z), axis=1)
 
     def accuracy(self, z, y) -> float:
         """Exact empirical frequency of correct predictions."""
@@ -99,16 +93,16 @@ class _Workspace:
 
 class ProbeLoss:
     """`fit`'s loss for a probe: the mean softmax cross-entropy of a batch's
-    logits, with the whole ReLU MLP, as one tape node over every parameter.
+    logits, with the whole ReLU MLP, as one (value, backward) pair.
 
-    The node computes with `tensor.mlp_forward`/`mlp_backward` and the
-    softmax cross-entropy functions, in the order per-layer nodes would, so
-    it yields the bytes of one node per layer followed by a cross-entropy
-    node (kept in tests/_oracles.py). It writes the parameter gradients
-    straight into the probe's gradient buffer, and every activation, logit
-    and gradient array into a workspace kept per batch size: a step
-    allocates nothing parameter-sized, only a few batch-sized temporaries
-    (relu masks, the picked logits).
+    The step computes with `tensor.mlp_forward`/`mlp_backward` and the
+    softmax cross-entropy functions, in the order per-layer tape nodes
+    would, so it yields the bytes of one node per layer followed by a
+    cross-entropy node (kept in tests/_oracles.py). Its backward writes the
+    parameter gradients straight into the probe's gradient buffer, and every
+    activation, logit and gradient array goes into a workspace kept per
+    batch size: a step allocates nothing parameter-sized, only a few
+    batch-sized temporaries (relu masks, the picked logits).
     Labels are checked once, here.
     """
 
@@ -122,7 +116,7 @@ class ProbeLoss:
         self.probe, self.z, self.y = probe, z, y
         self._workspaces: dict[int, _Workspace] = {}
 
-    def __call__(self, idx: np.ndarray) -> Tensor:
+    def __call__(self, idx: np.ndarray) -> tuple[float, Callable[[], None]]:
         probe, spec = self.probe, self.probe.spec
         ws = self._workspaces.get(idx.size)
         if ws is None:
@@ -134,12 +128,11 @@ class ProbeLoss:
         hs, layers = mlp_forward(np.take(self.z, idx, axis=0, out=ws.x), weights, spec.activations, ws.h)
         value, ce_saved = softmax_cross_entropy_forward(hs[-1], onehot, ws.e, ws.colsum)
 
-        def bwd(g: np.ndarray):
-            g = softmax_cross_entropy_backward(g, onehot, ce_saved, ws.glogits, ws.scratch)
+        def backward() -> None:
+            g = softmax_cross_entropy_backward(1.0, onehot, ce_saved, ws.glogits, ws.scratch)
             mlp_backward(g, hs, layers, grads, gh=ws.gh, overwrite_g=True)
-            return grads
 
-        return _record(Tensor._from_owned(np.asarray(value)), tuple(probe._params.values()), bwd)
+        return value, backward
 
 
 def train_probe(
@@ -190,8 +183,7 @@ def evaluate_robustness(
     if probe.latent_dim != model.s:
         raise ShapeError("evaluate_robustness", ("latent", probe.latent_dim), ("latent", model.s))
     y = dataset.labels_view(split)
-    table = {"complete": probe.accuracy(model.encode_complete(dataset.complete_view(split)).data, y)}
+    table = {"complete": probe.accuracy(model.encode_complete(dataset.complete_view(split)), y)}
     for m in range(model.modality_count):
-        z = model.encode_modality(m, dataset.modality(m, split)).data
-        table[f"modality_{m + 1}"] = probe.accuracy(z, y)
+        table[f"modality_{m + 1}"] = probe.accuracy(model.encode_modality(m, dataset.modality(m, split)), y)
     return RobustnessTable(table)

@@ -16,9 +16,9 @@ per-term mean is reported separately where traces need comparability).
 The ablated variant replaces Omega_m(i) by the complete-vs-complete mass
 alone, Omega*(i) = sum_{j != i} s_{c,c}(i,j), which is independent of m.
 
-The loss is one (value, backward) pair, `contrastive_loss`: `mnt_xent`
-records it as one tape node, and the GMC step (`model.batch_loss`) runs it
-inside its own node. Each pathway's rows are normalized once, and only the
+The loss is one (value, backward) pair over arrays, `contrastive_loss`,
+which the GMC step (`model.batch_loss`) runs inside its own backward. Each
+pathway's rows are normalized once, and only the
 (m,c), (m,m), and (c,c) similarity blocks are materialized, so cost stays
 linear in M. The j = i terms drop out through a -inf diagonal, which is
 exact for every tau.
@@ -32,7 +32,6 @@ import numbers
 import numpy as np
 
 from .errors import ContractError, DegenerateVectorError, DomainError, ShapeError
-from .tensor import Tensor, _record
 
 _NORM_EPS = 1e-12
 
@@ -40,26 +39,26 @@ _NORM_EPS = 1e-12
 class RepresentationBatch:
     """Projections of one batch through every pathway.
 
-    `per_modality[m]` and `complete` are (B, s) tensors from the shared
-    projection head. Rows are not required to be unit norm; every score in
-    this module is cosine-based and scale-invariant.
+    `per_modality[m]` and `complete` are (B, s) float64 arrays from the
+    shared projection head. Rows are not required to be unit norm; every
+    score in this module is cosine-based and scale-invariant.
     """
 
-    def __init__(self, per_modality: list[Tensor], complete: Tensor):
+    def __init__(self, per_modality: list[np.ndarray], complete: np.ndarray):
         if len(per_modality) < 1:
             raise ContractError("batch needs at least one modality")
-        mats = list(per_modality) + [complete]
+        mats = [np.asarray(z, dtype=np.float64) for z in (*per_modality, complete)]
         for z in mats:
-            if z.data.ndim != 2:
+            if z.ndim != 2:
                 raise ShapeError("representation_batch", z.shape)
-        b, s = complete.shape
+        b, s = mats[-1].shape
         for z in mats:
             if z.shape != (b, s):
-                raise ShapeError("representation_batch", complete.shape, z.shape)
+                raise ShapeError("representation_batch", mats[-1].shape, z.shape)
         if b < 2:
             raise ContractError("batch size must be >= 2: no negatives available")
-        self.per_modality = list(per_modality)
-        self.complete = complete
+        self.per_modality = mats[:-1]
+        self.complete = mats[-1]
 
     @property
     def batch_size(self) -> int:
@@ -70,14 +69,13 @@ class RepresentationBatch:
         return len(self.per_modality)
 
 
-def _unit_rows(z: Tensor, label: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows of z over their norms: (unit rows, 1 / norms, norms).
+def _unit_rows(x: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of x over their norms: (unit rows, 1 / norms, norms).
 
     Rows too short to have a direction are rejected before any division.
     1 / n is taken as exp(-log n): the two differ in the last bit, and this
     is the rounding every recorded checkpoint and loss trace was trained with.
     """
-    x = z.data
     norms = np.sqrt(np.sum(x * x, axis=1))
     bad = np.flatnonzero(norms <= _NORM_EPS)
     if bad.size:
@@ -92,15 +90,15 @@ def _unit_rows_backward(g: np.ndarray, x: np.ndarray, inv: np.ndarray, norms: np
 
 
 def contrastive_loss(batch: RepresentationBatch, tau, ablated: bool):
-    """The total loss and its backward: backward(g) returns dL/dz for every
-    modality, then for the complete pathway.
+    """The total loss and its backward: backward(g) returns g * dL/dz for
+    every modality, then for the complete pathway.
 
     The forward and backward repeat, operation for operation, the float
-    arithmetic of the loss written as a chain of generic tape primitives
-    (row normalization, matmul, add, scale, exp, sum, log, dot), in the order
-    Tape.backward replays that chain: fan-in gradients are summed in reverse
-    record order. That order fixes the trained bytes; the chain is kept in
-    tests/_oracles.py as the reference.
+    arithmetic of the loss written as a chain of generic reverse-mode
+    primitives (row normalization, matmul, add, scale, exp, sum, log, dot),
+    in the order a reverse-mode tape replays that chain: fan-in gradients
+    are summed in reverse record order. That order fixes the trained bytes;
+    the chain and the tape are kept in tests/_oracles.py as the reference.
     """
     finite = isinstance(tau, numbers.Real) and not isinstance(tau, bool) and math.isfinite(tau)
     if not (finite and tau > 0):
@@ -155,30 +153,14 @@ def contrastive_loss(batch: RepresentationBatch, tau, ablated: bool):
                 g_mc = g_mc + (r[:, None] * e_mc) * f
                 g_mm = (r[:, None] * e_mm) * f
                 g_um = (g_mm @ um + (um.T @ g_mm).T) + g_mc @ uc
-            grads[m] = _unit_rows_backward(g_um, zs[m].data, inv, norms)
+            grads[m] = _unit_rows_backward(g_um, zs[m], inv, norms)
             g_b = (um.T @ g_mc).T
             g_uc = g_b if g_uc is None else g_uc + g_b
         g_cc = (r_cc[:, None] * e_cc) * f
         g_uc = g_uc + g_cc @ uc
         g_uc = g_uc + (uc.T @ g_cc).T
-        grads.append(_unit_rows_backward(g_uc, zc.data, inv_c, n_c))
+        grads.append(_unit_rows_backward(g_uc, zc, inv_c, n_c))
         return grads
 
     return total, bwd
 
-
-def _total_loss(batch: RepresentationBatch, tau, ablated: bool) -> Tensor:
-    value, bwd = contrastive_loss(batch, tau, ablated)
-    return _record(Tensor._from_owned(np.asarray(value)), (*batch.per_modality, batch.complete), bwd)
-
-
-def mnt_xent(batch: RepresentationBatch, tau) -> Tensor:
-    """Total contrastive loss: sum over modalities and samples of l_m(i)."""
-    return _total_loss(batch, tau, ablated=False)
-
-
-def mnt_xent_ablated(batch: RepresentationBatch, tau) -> Tensor:
-    """Ablated total: every pathway contrasts only against complete-vs-complete
-    negatives, so modality-side repulsion is gone. Individual terms may be
-    negative (the positive similarity can exceed the shrunken mass)."""
-    return _total_loss(batch, tau, ablated=True)

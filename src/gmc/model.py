@@ -7,8 +7,11 @@ latent width s. Latents are not re-normalized on output: everything
 downstream is cosine-based, so scale carries no information.
 
 Training minimizes the multimodal contrastive loss over all pathways with
-Adam (default) or plain SGD. Parameter init and epoch shuffles come from
-counter-based streams keyed on their seeds, so runs reproduce bit for bit.
+Adam (default) or plain SGD. A training step is one `(value, backward)`
+pair over plain arrays (`batch_loss`), whose backward writes every
+parameter gradient into the model's gradient buffer. Parameter init and
+epoch shuffles come from counter-based streams keyed on their seeds, so
+runs reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from . import rng
 from .errors import ConfigError, DomainError, NumericError, ShapeError, require_integer, require_number
 from .loss import RepresentationBatch, contrastive_loss
-from .tensor import ACTIVATIONS, Tape, Tensor, _record, mlp_backward, mlp_forward
+from .tensor import ACTIVATIONS, Tape, mlp_backward, mlp_forward
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,7 @@ def init_mlp_params(
 
 
 class ParameterSet:
-    """Named gradient-tracked parameters: the unit `fit` trains.
+    """Named parameters: the unit `fit` trains.
 
     The parameters are read-only views of one contiguous float64 buffer,
     laid out in declaration order; a checkpoint payload is that buffer's
@@ -119,7 +122,7 @@ class ParameterSet:
     holding, counting, swapping and input-shape checks live here.
     """
 
-    _params: dict[str, Tensor]
+    _params: dict[str, np.ndarray]
 
     def _init_parameters(self, values: Mapping[str, np.ndarray]) -> None:
         self._layout = []  # (name, start, stop, shape) per parameter
@@ -131,18 +134,19 @@ class ParameterSet:
         self._bind(np.concatenate([np.ravel(v) for v in values.values()], dtype=np.float64))
 
     def _bind(self, flat: np.ndarray) -> None:
-        # Every parameter becomes a fresh gradient-tracked leaf over `flat`,
-        # and gets a view of the same place in a new gradient buffer.
+        # Every parameter becomes a read-only view of `flat`, and gets a view
+        # of the same place in a new gradient buffer.
         flat.setflags(write=False)
         self._flat = flat
         self._grad = np.empty(flat.size)
         self._params = {}
         self._grad_views = {}
         for name, start, stop, shape in self._layout:
-            self._params[name] = Tensor._from_owned(flat[start:stop].reshape(shape), requires_grad=True)
+            self._params[name] = flat[start:stop].reshape(shape)
             self._grad_views[name] = self._grad[start:stop].reshape(shape)
 
-    def parameters(self) -> dict[str, Tensor]:
+    def parameters(self) -> dict[str, np.ndarray]:
+        """Every parameter, by name, as a read-only view of `flat_parameters()`."""
         return dict(self._params)
 
     def parameter_count(self) -> int:
@@ -154,25 +158,20 @@ class ParameterSet:
 
     def gradients(self) -> np.ndarray:
         """Every parameter's gradient in one buffer laid out like
-        `flat_parameters()`, which the backward of a training step's node
-        writes; a parameter's `grad` is its view of the buffer."""
+        `flat_parameters()`, which the backward of a training step writes."""
         return self._grad
 
     def _mlp_arrays(self, prefix: str, spec: EncoderSpec) -> tuple[list, list]:
         """One MLP's w0, b0, w1, b1, ... arrays and their gradient views."""
         names = [f"{prefix}/{kind}{layer}" for layer in range(spec.layer_count) for kind in "wb"]
-        return [self._params[n].data for n in names], [self._grad_views[n] for n in names]
-
-    def clear_gradients(self) -> None:
-        for p in self._params.values():
-            p.grad = None
+        return [self._params[n] for n in names], [self._grad_views[n] for n in names]
 
     def replace_parameters(self, values) -> None:
         """Swap in new parameter values.
 
         `values` is either a whole new buffer, a 1-D float64 array laid out
         like `flat_parameters()` that the set takes over and makes read-only,
-        or a mapping from any subset of names to arrays or tensors, copied.
+        or a mapping from any subset of names to arrays, copied.
         """
         if isinstance(values, np.ndarray):
             if values.dtype != np.float64 or values.shape != self._flat.shape:
@@ -183,7 +182,7 @@ class ParameterSet:
         for name, value in values.items():
             if name not in self._params:
                 raise ConfigError("parameters", f"unknown parameter {name!r}")
-            arr = value.data if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
+            arr = np.asarray(value, dtype=np.float64)
             if arr.shape != self._params[name].shape:
                 raise ShapeError(f"replace_parameters[{name}]", self._params[name].shape, arr.shape)
             staged[name] = arr
@@ -193,11 +192,13 @@ class ParameterSet:
                 flat[start:stop] = staged[name].reshape(-1)
         self._bind(flat)
 
-    def _check_input(self, op: str, x, expected: int) -> Tensor:
-        t = x if isinstance(x, Tensor) else Tensor(x)
-        if t.data.ndim != 2 or t.shape[1] != expected:
-            raise ShapeError(op, t.shape, ("batch", expected))
-        return t
+    def _check_input(self, op: str, x, expected: int) -> np.ndarray:
+        """x as a C-contiguous float64 (batch, expected) array, copied only
+        when it is not one already."""
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != expected:
+            raise ShapeError(op, x.shape, ("batch", expected))
+        return x
 
 
 class GmcModel(ParameterSet):
@@ -278,35 +279,38 @@ class GmcModel(ParameterSet):
         """The `mlp_forward` passes of pathway p (M: complete), its base encoder's and the head's."""
         (spec, weights, _), (head_spec, head_weights, _) = mlps[p], mlps[-1]
         op = "encode_modality" if p < self.modality_count else "encode_complete"
-        base = mlp_forward(self._check_input(op, x, spec.input_dim).data, weights, spec.activations)
+        base = mlp_forward(self._check_input(op, x, spec.input_dim), weights, spec.activations)
         return base, mlp_forward(base[0][-1], head_weights, head_spec.activations)
 
-    def encode_modality(self, m: int, x) -> Tensor:
+    def encode_modality(self, m: int, x) -> np.ndarray:
         """z_m = g(f_m(x_m)) for a batch of modality-m rows."""
         if not 0 <= m < self.modality_count:
             raise ConfigError("modality", f"no modality {m}; model has {self.modality_count}")
         _, (hs, _) = self._pathway(m, x, self._mlps())
-        return Tensor._from_owned(hs[-1])
+        return hs[-1]
 
-    def encode_complete(self, x) -> Tensor:
+    def encode_complete(self, x) -> np.ndarray:
         """z = g(f(x)) for a batch of concatenated complete observations."""
         _, (hs, _) = self._pathway(self.modality_count, x, self._mlps())
-        return Tensor._from_owned(hs[-1])
+        return hs[-1]
 
-    def encode_pathway(self, pathway, x) -> Tensor:
+    def encode_pathway(self, pathway, x) -> np.ndarray:
         """Dispatch on pathway: an integer modality index or "complete"."""
         if pathway == "complete":
             return self.encode_complete(x)
         return self.encode_modality(int(pathway), x)
 
 
-def batch_loss(model: GmcModel, modality_arrays, complete_array, tau, variant: str = "full") -> Tensor:
-    """The contrastive loss of one batch as one tape node over every
-    parameter of `model`, whose backward writes the model's gradient buffer.
+def batch_loss(
+    model: GmcModel, modality_arrays, complete_array, tau, variant: str = "full"
+) -> tuple[float, Callable[[], None]]:
+    """The contrastive loss of one batch and its backward, which writes
+    d(loss)/d(parameter) for every parameter of `model` into the model's
+    gradient buffer.
 
     The backward runs the loss backward, then the complete pathway and
     modalities M-1 down to 0, each through the head and its base encoder:
-    the head's gradients are summed in the order `Tape.backward` summed
+    the head's gradients are summed in the order a reverse-mode tape summed
     them over one node per layer, which keeps that path's bytes.
     """
     if variant not in ("full", "ablated"):
@@ -316,19 +320,17 @@ def batch_loss(model: GmcModel, modality_arrays, complete_array, tau, variant: s
         raise ConfigError("modalities", "one array per modality required")
     mlps = model._mlps()
     passes = [model._pathway(p, x, mlps) for p, x in enumerate([*modality_arrays, complete_array])]
-    zs = [Tensor._from_owned(hs[-1]) for _, (hs, _) in passes]
+    zs = [hs[-1] for _, (hs, _) in passes]
     value, loss_backward = contrastive_loss(RepresentationBatch(zs[:m], zs[m]), tau, variant == "ablated")
-    grads = tuple(model._grad_views.values())
 
-    def bwd(g: np.ndarray):
-        g_zs = loss_backward(g)
+    def backward() -> None:
+        g_zs = loss_backward(1.0)
         for p in range(m, -1, -1):
             (base_hs, base_layers), (head_hs, head_layers) = passes[p]
             g_h = mlp_backward(g_zs[p], head_hs, head_layers, mlps[-1][2], need_gx=True, add=p < m)
             mlp_backward(g_h, base_hs, base_layers, mlps[p][2])
-        return grads
 
-    return _record(Tensor._from_owned(np.asarray(value)), tuple(model._params.values()), bwd)
+    return value, backward
 
 
 # --- training -----------------------------------------------------------------
@@ -446,7 +448,7 @@ class _Adam:
 
 def fit(
     params: ParameterSet,
-    loss_fn: Callable[[np.ndarray], Tensor],
+    loss_fn: Callable[[np.ndarray], tuple[float, Callable[[], None]]],
     n: int,
     config: LoopConfig,
     purpose: int,
@@ -458,14 +460,16 @@ def fit(
     Each epoch draws a permutation from the stream (config.seed, purpose,
     epoch) and steps once per batch of config.batch_size indices; a trailing
     batch smaller than `min_batch` is dropped. `loss_fn` maps the batch
-    indices to a scalar loss, one tape node that writes `gradients()`. A
-    non-finite loss or a domain error aborts with a NumericError that names
-    `what` failed, the epoch, the step and the shuffle seed. Returns, per
-    epoch, the (loss, batch size) of every step taken.
+    indices to the pair (loss value, backward); backward() writes
+    d(loss)/d(parameter) into `gradients()`, overwriting what the last step
+    left there. A non-finite loss or a domain error aborts with a
+    NumericError that names `what` failed, the epoch, the step and the
+    shuffle seed. Returns, per epoch, the (loss, batch size) of every step
+    taken.
 
     The parameters are bound once, over a copy of their buffer that the
     optimizer then updates in place through the writable original while the
-    set holds a read-only view: tensors taken from `params` before the call
+    set holds a read-only view: arrays taken from `params` before the call
     keep their values, and those bound here change with every step.
     """
     flat = params.flat_parameters().copy()
@@ -482,16 +486,15 @@ def fit(
                 continue
             with np.errstate(over="ignore", invalid="ignore"):
                 try:
-                    with Tape() as tape:
-                        loss = loss_fn(idx)
-                    value = float(loss.data)
+                    value, backward = loss_fn(idx)
+                    value = float(value)
                     if not math.isfinite(value):
                         raise NumericError(
                             f"non-finite {what} {value!r} (shuffle stream seed={config.seed})",
                             epoch=epoch,
                             step=step,
                         )
-                    tape.backward(loss)
+                    Tape(backward).backward()
                 except DomainError as err:
                     raise NumericError(
                         f"{what} computation failed: {err} (shuffle stream seed={config.seed})",
@@ -500,7 +503,6 @@ def fit(
                     ) from err
             if config.learning_rate > 0:
                 optimizer.step(flat, params.gradients())
-            params.clear_gradients()
             steps.append((value, idx.size))
             step += 1
         epochs.append(steps)

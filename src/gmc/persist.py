@@ -139,7 +139,7 @@ def load_checkpoint(path, digests: dict | None = None) -> GmcModel:
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     model.replace_parameters(flat)
     if not np.all(np.isfinite(flat)):
-        name = next(k for k, p in model.parameters().items() if not np.all(np.isfinite(p.data)))
+        name = next(k for k, p in model.parameters().items() if not np.all(np.isfinite(p)))
         raise FormatError(f"checkpoint parameter {name!r} holds a non-finite value")
     return model
 

@@ -1,158 +1,45 @@
-"""Dense float64 tensors with tape-based reverse-mode differentiation.
-
-The engine is deliberately small: a `Tensor` wraps a read-only numpy array,
-nodes compute with numpy and append a backward closure to the active
-`Tape`, and `Tape.backward` walks the recorded operations once in reverse
-order, accumulating gradients additively across fan-out.
-
-A tensor's data is read-only to everyone who holds it. The one exception
-is a parameter that `model.fit` is training: it is a view of the buffer
-that the optimizer updates in place after each step. Every other tensor
-keeps the values it was created with, so a tape and the tensors it
-references can be shared with readers on other threads once the forward
-pass is done, as long as no fit is updating the parameters they view.
+"""The plain array functions that both trained networks run on, and the
+one-step record the benchmark counts.
 
 The arithmetic of a dense layer, of an MLP's layer loop and of the softmax
-cross-entropy lives in plain array functions (`dense_forward`, `mlp_forward`,
-`softmax_cross_entropy_forward` and their backwards). The one-node GMC and
-probe steps (`model.batch_loss`, `downstream.ProbeLoss`) call them, so each
-float operation is written, and ordered, in one place.
+cross-entropy lives here (`dense_forward`, `mlp_forward`,
+`softmax_cross_entropy_forward` and their backwards). A training step of
+either network (`model.batch_loss`, `downstream.ProbeLoss`) is one
+`(value, backward)` pair over these functions, so each float operation is
+written, and ordered, in one place.
 """
 
 from __future__ import annotations
 
-import contextvars
-import math
 from typing import Callable
 
 import numpy as np
 
-from .errors import ContractError, DomainError, ShapeError
-
-_ACTIVE_TAPE: contextvars.ContextVar["Tape | None"] = contextvars.ContextVar(
-    "gmc_active_tape", default=None
-)
-
-
-class Tensor:
-    """A read-only float64 array, optionally tracked for gradients."""
-
-    __slots__ = ("data", "requires_grad", "grad")
-
-    def __init__(self, data, requires_grad: bool = False):
-        arr = np.array(data, dtype=np.float64, order="C", copy=True)
-        arr.setflags(write=False)
-        self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
-
-    @classmethod
-    def _from_owned(cls, arr: np.ndarray, requires_grad: bool = False) -> "Tensor":
-        # Internal fast path: `arr` is freshly computed, or a view of a
-        # buffer no one writes to any more.
-        # ascontiguousarray would promote 0-d scalars to 1-d, so avoid it
-        # unless the layout actually needs fixing.
-        t = object.__new__(cls)
-        arr = np.asarray(arr, dtype=np.float64)
-        if not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        t.data = arr
-        t.requires_grad = requires_grad
-        t.grad = None
-        return t
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
-        return float(self.data.reshape(()))
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-class _Node:
-    __slots__ = ("out", "inputs", "bwd")
-
-    def __init__(self, out: Tensor, inputs: tuple[Tensor, ...], bwd: Callable):
-        self.out = out
-        self.inputs = inputs
-        self.bwd = bwd
+from .errors import DomainError, ShapeError
 
 
 class Tape:
-    """Records primitives so gradients can be replayed in reverse order.
+    """`fit`'s record of one training step: it holds the step's backward,
+    which `backward()` runs, and counts as one node.
 
-    One tape belongs to one logical thread for the duration of its forward
-    and backward pass. Distinct tapes over distinct tensors are independent.
+    It exists only because the benchmark's tracer (`perfbench/`) counts
+    training steps through calls of `Tape.backward` and reads `len(tape)` as
+    the nodes of a step. It goes once the tracer counts steps another way.
     """
 
-    def __init__(self):
-        self._nodes: list[_Node] = []
-        self._token = None
+    __slots__ = ("_backward",)
 
-    def __enter__(self) -> "Tape":
-        self._token = _ACTIVE_TAPE.set(self)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        _ACTIVE_TAPE.reset(self._token)
-        self._token = None
+    def __init__(self, backward: Callable[[], None]):
+        self._backward = backward
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return 1
 
-    def backward(self, root: Tensor) -> None:
-        """Accumulate d(root)/d(leaf) into every requires_grad leaf.
-
-        `root` must be a single-element tensor produced on this tape.
-        Repeated calls add into existing grad buffers.
-        """
-        if root.size != 1:
-            raise ContractError(f"backward root must be scalar, got shape {root.shape}")
-        produced = {id(n.out) for n in self._nodes}
-        if id(root) not in produced:
-            raise ContractError("backward root was not produced on this tape")
-
-        grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-        holders: dict[int, Tensor] = {id(root): root}
-        for node in reversed(self._nodes):
-            g = grads.pop(id(node.out), None)
-            if g is None:
-                continue
-            holders.pop(id(node.out), None)
-            for t, ig in zip(node.inputs, node.bwd(g)):
-                if ig is None or not t.requires_grad:
-                    continue
-                tid = id(t)
-                if tid in grads:
-                    grads[tid] = grads[tid] + ig
-                else:
-                    grads[tid] = ig
-                    holders[tid] = t
-        # Whatever was never popped is a leaf (no recorded producer).
-        for tid, g in grads.items():
-            leaf = holders[tid]
-            leaf.grad = g if leaf.grad is None else leaf.grad + g
+    def backward(self) -> None:
+        self._backward()
 
 
-def _record(out: Tensor, inputs: tuple[Tensor, ...], bwd: Callable) -> Tensor:
-    tape = _ACTIVE_TAPE.get()
-    if tape is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        tape._nodes.append(_Node(out, inputs, bwd))
-    return out
-
-
-# --- layers and nodes ------------------------------------------------------
+# --- layers -----------------------------------------------------------------
 
 
 ACTIVATIONS = ("relu", "swish")
@@ -268,36 +155,3 @@ def softmax_cross_entropy_backward(g, onehot: np.ndarray, saved, out=None, scrat
     s = g * (1.0 / colsum.shape[0])
     gl = np.multiply(onehot, float(s * -1.0), out=out)
     return np.add(gl, np.multiply(e, s / colsum, out=scratch).T, out=gl)
-
-
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, step: float = 1e-6) -> float:
-    """Worst relative disagreement between tape and central-difference gradients.
-
-    Relative error for element k is |analytic_k - numeric_k| / max(1, |analytic_k|).
-    Returns inf when any probed evaluation is non-finite. `f` must be
-    deterministic and must not mutate its argument.
-    """
-    if step <= 0.0:
-        raise ContractError("grad_check step must be positive")
-    probe = Tensor(x.data, requires_grad=True)
-    with Tape() as tape:
-        y = f(probe)
-    if y.size != 1:
-        raise ContractError(f"grad_check target must be scalar, got shape {y.shape}")
-    tape.backward(y)
-    analytic = probe.grad if probe.grad is not None else np.zeros(x.shape)
-
-    flat = x.data.reshape(-1)
-    numeric = np.empty(flat.shape[0])
-    for k in range(flat.shape[0]):
-        bumped = flat.copy()
-        bumped[k] = flat[k] + step
-        hi = f(Tensor(bumped.reshape(x.shape))).item()
-        bumped[k] = flat[k] - step
-        lo = f(Tensor(bumped.reshape(x.shape))).item()
-        numeric[k] = (hi - lo) / (2.0 * step)
-    if not (np.all(np.isfinite(numeric)) and np.all(np.isfinite(analytic))):
-        return math.inf
-    a = analytic.reshape(-1)
-    rel = np.abs(a - numeric) / np.maximum(1.0, np.abs(a))
-    return float(rel.max()) if rel.size else 0.0

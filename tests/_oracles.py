@@ -1,21 +1,25 @@
 """Brute-force reference implementations used only by the test suite.
 
 Everything here is written with explicit loops over Python floats,
-independent of the package's tensor engine and numpy formulations, so the
-production code and these oracles can only agree by computing the same
-mathematics. The exceptions are references that production code must match
-bit for bit, so they keep the straightforward arithmetic it reproduces:
-`knn_edges_loops` (k-NN edges on ties and near-ties, one numpy distance row
-per point) and, at the end of this file, the tape primitives, chains, dict
+independent of the package's numpy formulations, so the production code and
+these oracles can only agree by computing the same mathematics. The
+exceptions are references that production code must match bit for bit, so
+they keep the straightforward arithmetic it reproduces: `knn_edges_loops`
+(k-NN edges on ties and near-ties, one numpy distance row per point) and,
+at the end of this file, a general reverse-mode tape (`Tensor`, `Tape`,
+`_record`, `grad_check`), the tape primitives and chains built on it, dict
 optimizers, the per-layer GMC and probe training, the functions only tests
 call and the CSV reader and writer that the fused and flat versions
 replaced.
 """
 
+import contextvars
+import functools
 import math
 import numbers
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -23,8 +27,8 @@ from gmc import rng
 from gmc.dca import _pooled_scores, score_components
 from gmc.downstream import ProbeClassifier
 from gmc.errors import ConfigError, ContractError, DataError, DegenerateVectorError, DomainError, ShapeError
-from gmc.loss import RepresentationBatch, mnt_xent, mnt_xent_ablated
-from gmc.tensor import ACTIVATIONS, Tape, Tensor, _record, dense_backward, dense_forward
+from gmc.loss import RepresentationBatch, contrastive_loss
+from gmc.tensor import ACTIVATIONS, dense_backward, dense_forward
 
 
 def cos_loops(u, v):
@@ -120,6 +124,38 @@ def components_bfs(n, edges):
     return comp
 
 
+# Every score is a rational function of a few small counts (at most 7 vertices
+# and 21 edges in the exhaustive checks), so each distinct Fraction is built
+# once and looked up on its integer arguments after that.
+
+
+@functools.lru_cache(maxsize=None)
+def _ratio(num, den):
+    return Fraction(num, den)
+
+
+@functools.lru_cache(maxsize=None)
+def _consistency(r, e):
+    return 1 - Fraction(abs(r - e), r + e)
+
+
+@functools.lru_cache(maxsize=None)
+def _quality(rr, ee, re):
+    tot = rr + ee + re
+    if tot < 1:
+        return Fraction(0)
+    return 1 - Fraction(rr + ee, tot)
+
+
+@functools.lru_cache(maxsize=None)
+def _harmonic(f_ev, tot_ev, f_ref, tot_ref, rr, ee, re):
+    """3 / (1/precision + 1/recall + 1/network quality), or 0 when any is 0."""
+    precision, recall, net_q = _ratio(f_ev, tot_ev), _ratio(f_ref, tot_ref), _quality(rr, ee, re)
+    if precision > 0 and recall > 0 and net_q > 0:
+        return 3 / (1 / precision + 1 / recall + 1 / net_q)
+    return Fraction(0)
+
+
 def dca_scores_fractions(n, edges, is_eval, comp=None):
     """Exact rational alignment scores for one labeled graph.
 
@@ -150,32 +186,21 @@ def dca_scores_fractions(n, edges, is_eval, comp=None):
         else:
             e_re[c] += 1
 
-    def cons(r, e):
-        return 1 - Fraction(abs(r - e), r + e)
-
-    def qual(rr, ee, re):
-        tot = rr + ee + re
-        if tot < 1:
-            return Fraction(0)
-        return 1 - Fraction(rr + ee, tot)
-
-    comp_c = [cons(n_ref[c], n_ev[c]) for c in range(k)]
-    comp_q = [qual(e_rr[c], e_ee[c], e_re[c]) for c in range(k)]
+    comp_c = [_consistency(n_ref[c], n_ev[c]) for c in range(k)]
+    comp_q = [_quality(e_rr[c], e_ee[c], e_re[c]) for c in range(k)]
     fundamental = [c for c in range(k) if comp_c[c] > 0 and comp_q[c] > 0]
 
     tot_ref = sum(n_ref)
     tot_ev = sum(n_ev)
-    net_c = cons(tot_ref, tot_ev)
-    net_q = qual(sum(e_rr), sum(e_ee), sum(e_re))
+    net_c = _consistency(tot_ref, tot_ev)
+    edge_totals = (sum(e_rr), sum(e_ee), sum(e_re))
+    net_q = _quality(*edge_totals)
 
     f_ref = sum(n_ref[c] for c in fundamental)
     f_ev = sum(n_ev[c] for c in fundamental)
-    precision = Fraction(f_ev, tot_ev)
-    recall = Fraction(f_ref, tot_ref)
-    if precision > 0 and recall > 0 and net_q > 0:
-        harmonic = 3 / (1 / precision + 1 / recall + 1 / net_q)
-    else:
-        harmonic = Fraction(0)
+    precision = _ratio(f_ev, tot_ev)
+    recall = _ratio(f_ref, tot_ref)
+    harmonic = _harmonic(f_ev, tot_ev, f_ref, tot_ref, *edge_totals)
     return {
         "component_consistency": comp_c,
         "component_quality": comp_q,
@@ -187,6 +212,209 @@ def dca_scores_fractions(n, edges, is_eval, comp=None):
         "harmonic": harmonic,
         "components": comp,
     }
+
+
+# --- a general reverse-mode tape -----------------------------------------------
+#
+# The engine every training step ran on before a step became one
+# (value, backward) pair over arrays. Every chain below is recorded on it,
+# and Tape.backward's order of summing fan-in gradients (reverse record
+# order) is the order the one-pair steps reproduce.
+
+_ACTIVE_TAPE: contextvars.ContextVar["Tape | None"] = contextvars.ContextVar(
+    "gmc_active_tape", default=None
+)
+
+
+class Tensor:
+    """A read-only float64 array, optionally tracked for gradients."""
+
+    __slots__ = ("data", "requires_grad", "grad")
+
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.array(data, dtype=np.float64, order="C", copy=True)
+        arr.setflags(write=False)
+        self.data = arr
+        self.requires_grad = bool(requires_grad)
+        self.grad: np.ndarray | None = None
+
+    @classmethod
+    def _from_owned(cls, arr: np.ndarray, requires_grad: bool = False) -> "Tensor":
+        # Internal fast path: `arr` is freshly computed, or a view of a
+        # buffer no one writes to any more.
+        # ascontiguousarray would promote 0-d scalars to 1-d, so avoid it
+        # unless the layout actually needs fixing.
+        t = object.__new__(cls)
+        arr = np.asarray(arr, dtype=np.float64)
+        if not arr.flags.c_contiguous:
+            arr = np.ascontiguousarray(arr)
+        arr.setflags(write=False)
+        t.data = arr
+        t.requires_grad = requires_grad
+        t.grad = None
+        return t
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.data.shape
+
+    @property
+    def size(self) -> int:
+        return self.data.size
+
+    def item(self) -> float:
+        if self.data.size != 1:
+            raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
+        return float(self.data.reshape(()))
+
+    def __repr__(self) -> str:
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+class _Node:
+    __slots__ = ("out", "inputs", "bwd")
+
+    def __init__(self, out: Tensor, inputs: tuple[Tensor, ...], bwd: Callable):
+        self.out = out
+        self.inputs = inputs
+        self.bwd = bwd
+
+
+class Tape:
+    """Records primitives so gradients can be replayed in reverse order.
+
+    One tape belongs to one logical thread for the duration of its forward
+    and backward pass. Distinct tapes over distinct tensors are independent.
+    """
+
+    def __init__(self):
+        self._nodes: list[_Node] = []
+        self._token = None
+
+    def __enter__(self) -> "Tape":
+        self._token = _ACTIVE_TAPE.set(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        _ACTIVE_TAPE.reset(self._token)
+        self._token = None
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    def backward(self, root: Tensor) -> None:
+        """Accumulate d(root)/d(leaf) into every requires_grad leaf.
+
+        `root` must be a single-element tensor produced on this tape.
+        Repeated calls add into existing grad buffers.
+        """
+        if root.size != 1:
+            raise ContractError(f"backward root must be scalar, got shape {root.shape}")
+        produced = {id(n.out) for n in self._nodes}
+        if id(root) not in produced:
+            raise ContractError("backward root was not produced on this tape")
+
+        grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
+        holders: dict[int, Tensor] = {id(root): root}
+        for node in reversed(self._nodes):
+            g = grads.pop(id(node.out), None)
+            if g is None:
+                continue
+            holders.pop(id(node.out), None)
+            for t, ig in zip(node.inputs, node.bwd(g)):
+                if ig is None or not t.requires_grad:
+                    continue
+                tid = id(t)
+                if tid in grads:
+                    grads[tid] = grads[tid] + ig
+                else:
+                    grads[tid] = ig
+                    holders[tid] = t
+        # Whatever was never popped is a leaf (no recorded producer).
+        for tid, g in grads.items():
+            leaf = holders[tid]
+            leaf.grad = g if leaf.grad is None else leaf.grad + g
+
+
+def _record(out: Tensor, inputs: tuple[Tensor, ...], bwd: Callable) -> Tensor:
+    tape = _ACTIVE_TAPE.get()
+    if tape is not None and any(t.requires_grad for t in inputs):
+        out.requires_grad = True
+        tape._nodes.append(_Node(out, inputs, bwd))
+    return out
+
+
+def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, step: float = 1e-6) -> float:
+    """Worst relative disagreement between tape and central-difference gradients.
+
+    Relative error for element k is |analytic_k - numeric_k| / max(1, |analytic_k|).
+    Returns inf when any probed evaluation is non-finite. `f` must be
+    deterministic and must not mutate its argument.
+    """
+    if step <= 0.0:
+        raise ContractError("grad_check step must be positive")
+    probe = Tensor(x.data, requires_grad=True)
+    with Tape() as tape:
+        y = f(probe)
+    if y.size != 1:
+        raise ContractError(f"grad_check target must be scalar, got shape {y.shape}")
+    tape.backward(y)
+    analytic = probe.grad if probe.grad is not None else np.zeros(x.shape)
+
+    flat = x.data.reshape(-1)
+    numeric = np.empty(flat.shape[0])
+    for k in range(flat.shape[0]):
+        bumped = flat.copy()
+        bumped[k] = flat[k] + step
+        hi = f(Tensor(bumped.reshape(x.shape))).item()
+        bumped[k] = flat[k] - step
+        lo = f(Tensor(bumped.reshape(x.shape))).item()
+        numeric[k] = (hi - lo) / (2.0 * step)
+    if not (np.all(np.isfinite(numeric)) and np.all(np.isfinite(analytic))):
+        return math.inf
+    a = analytic.reshape(-1)
+    rel = np.abs(a - numeric) / np.maximum(1.0, np.abs(a))
+    return float(rel.max()) if rel.size else 0.0
+
+
+def leaves(params):
+    """Fresh gradient-tracked tensors over a `parameters()` dict's arrays."""
+    return {name: Tensor(p, requires_grad=True) for name, p in params.items()}
+
+
+def named_gradients(params):
+    """A parameter set's gradient buffer as one view per parameter, by name."""
+    grads, start = {}, 0
+    for name, p in params.parameters().items():
+        grads[name] = params.gradients()[start : start + p.size].reshape(p.shape)
+        start += p.size
+    return grads
+
+
+class TensorBatch:
+    """A `RepresentationBatch` of tape tensors, which the loss nodes and
+    chains below take; its checks are RepresentationBatch's."""
+
+    def __init__(self, per_modality, complete):
+        self.arrays = RepresentationBatch([z.data for z in per_modality], complete.data)
+        self.per_modality = list(per_modality)
+        self.complete = complete
+        self.batch_size = self.arrays.batch_size
+
+
+def _total_loss(batch, tau, ablated):
+    value, bwd = contrastive_loss(batch.arrays, tau, ablated)
+    return _record(Tensor._from_owned(np.asarray(value)), (*batch.per_modality, batch.complete), bwd)
+
+
+def mnt_xent(batch, tau):
+    """`loss.contrastive_loss`, full variant, as one tape node."""
+    return _total_loss(batch, tau, ablated=False)
+
+
+def mnt_xent_ablated(batch, tau):
+    """`loss.contrastive_loss`, ablated variant, as one tape node."""
+    return _total_loss(batch, tau, ablated=True)
 
 
 # --- replaced implementations, kept as bit-identity references ----------------
@@ -361,16 +589,17 @@ def mlp_dense_nodes(spec, params, prefix, x):
 def batch_loss_nodes(model, xs, xc, tau, variant="full", params=None, mlp=None, loss=None):
     """`model.batch_loss` as one tape node per layer and one for the loss:
     4 (M + 1) + 1 nodes, 17 at M = 3. Each pathway runs `mlp` through its
-    base encoder and the shared head over the leaves `params` (the model's
-    own by default); `mlp` and `loss` swap in the chains instead."""
-    params = model.parameters() if params is None else params
+    base encoder and the shared head over the leaves `params` (fresh leaves
+    over the model's parameters by default); `mlp` and `loss` swap in the
+    chains instead."""
+    params = leaves(model.parameters()) if params is None else params
     mlp = mlp_dense_nodes if mlp is None else mlp
 
     def pathway(name, spec, x):
         return mlp(model.head_spec, params, "head", mlp(spec, params, name, Tensor(x)))
 
     zs = [pathway(f"enc{m}", model.base_specs[m], x) for m, x in enumerate(xs)]
-    batch = RepresentationBatch(zs, pathway("enc_complete", model.base_specs[-1], xc))
+    batch = TensorBatch(zs, pathway("enc_complete", model.base_specs[-1], xc))
     if loss is not None:
         return loss(batch, tau, variant == "ablated")
     return mnt_xent_ablated(batch, tau) if variant == "ablated" else mnt_xent(batch, tau)
@@ -499,8 +728,10 @@ def cross_entropy(logits, y):
 
 def fit_fresh(params, loss_fn, n, config, purpose, min_batch):
     """`model.fit` before it trained in place: every step makes a fresh
-    parameter buffer, with fresh leaves over it, through the dict
-    optimizers. Returns, per epoch, the (loss, batch size) of every step."""
+    parameter buffer through the dict optimizers. `loss_fn(idx, leaves)`
+    records the step's nodes over `leaves`, fresh gradient-tracked tensors
+    over the parameters. Returns, per epoch, the (loss, batch size) of every
+    step."""
     lr = config.learning_rate
     if config.optimizer == "adam":
         optimizer = AdamDict(lr, config.adam_beta1, config.adam_beta2, config.adam_eps)
@@ -514,12 +745,13 @@ def fit_fresh(params, loss_fn, n, config, purpose, min_batch):
             idx = perm[start : start + config.batch_size]
             if idx.size < min_batch:
                 continue
+            step_leaves = leaves(params.parameters())
             with np.errstate(over="ignore", invalid="ignore"):
                 with Tape() as tape:
-                    loss = loss_fn(idx)
+                    loss = loss_fn(idx, step_leaves)
                 tape.backward(loss)
             if lr > 0:
-                params.replace_parameters(optimizer.step(params.parameters()))
+                params.replace_parameters(optimizer.step(step_leaves))
             steps.append((float(loss.data), idx.size))
         epochs.append(steps)
     return epochs
@@ -532,8 +764,8 @@ def train_nodes(model, dataset, config):
     xs = [dataset.modality(m, "train") for m in range(model.modality_count)]
     xc = dataset.complete_view("train")
 
-    def loss_fn(idx):
-        return batch_loss_nodes(model, [x[idx] for x in xs], xc[idx], config.tau, config.loss_variant)
+    def loss_fn(idx, params):
+        return batch_loss_nodes(model, [x[idx] for x in xs], xc[idx], config.tau, config.loss_variant, params)
 
     epochs = fit_fresh(model, loss_fn, xc.shape[0], config, rng.SHUFFLE, 2)
     m = model.modality_count
@@ -550,8 +782,8 @@ def train_probe_4_nodes(z, y, n_classes, config):
     y = np.asarray(y, dtype=np.int64)
     probe = ProbeClassifier(z.shape[1], n_classes, config.hidden, config.seed)
 
-    def loss_fn(idx):
-        return cross_entropy(mlp_dense_nodes(probe.spec, probe.parameters(), "probe", Tensor(z[idx])), y[idx])
+    def loss_fn(idx, params):
+        return cross_entropy(mlp_dense_nodes(probe.spec, params, "probe", Tensor(z[idx])), y[idx])
 
     epochs = fit_fresh(probe, loss_fn, z.shape[0], config, rng.PROBE_SHUFFLE, 1)
     probe.training_losses = [float(np.mean([value for value, _ in steps])) for steps in epochs]

@@ -21,16 +21,16 @@ import pytest
 from gmc.cli import main
 from gmc.dca import NeighborhoodGraph, evaluate_alignment, harmonic_score, score_labeled_graph
 from gmc.downstream import ProbeConfig, evaluate_robustness, train_probe
-from gmc.loss import RepresentationBatch, mnt_xent, mnt_xent_ablated
+from gmc.loss import RepresentationBatch, contrastive_loss
 from gmc.model import GmcModel, TrainConfig, batch_loss, train
 from gmc.synthdata import SynthConfig, generate
-from gmc.tensor import Tape, Tensor
 
 from _oracles import (
     components_bfs,
     dca_scores_fractions,
     mnt_xent_ablated_loops,
     mnt_xent_loops,
+    named_gradients,
     positive_term_count,
 )
 
@@ -79,10 +79,10 @@ def trained(dataset):
 
 def _modality_harmonics(model, dataset, k=5):
     """Alignment harmonic of each modality pathway against the complete one."""
-    z_complete = model.encode_complete(dataset.complete_view("test")).data
+    z_complete = model.encode_complete(dataset.complete_view("test"))
     scores = []
     for m in range(model.modality_count):
-        z_m = model.encode_modality(m, dataset.modality(m, "test")).data
+        z_m = model.encode_modality(m, dataset.modality(m, "test"))
         scores.append(evaluate_alignment(z_complete, z_m, k=k).harmonic)
     return scores
 
@@ -95,13 +95,13 @@ def _random_batch(gen):
     m_count = int(gen.integers(1, 4))
     s = int(gen.integers(1, 9))
     scale = float(10.0 ** gen.uniform(-1.0, 1.0))
-    zs = [Tensor(gen.normal(scale=scale, size=(b, s))) for _ in range(m_count)]
-    return RepresentationBatch(zs, Tensor(gen.normal(scale=scale, size=(b, s))))
+    zs = [gen.normal(scale=scale, size=(b, s)) for _ in range(m_count)]
+    return RepresentationBatch(zs, gen.normal(scale=scale, size=(b, s)))
 
 
 def _nested_lists(batch):
-    zs = [[list(map(float, row)) for row in z.data] for z in batch.per_modality]
-    zc = [list(map(float, row)) for row in batch.complete.data]
+    zs = [[list(map(float, row)) for row in z] for z in batch.per_modality]
+    zc = [list(map(float, row)) for row in batch.complete]
     return zs, zc
 
 
@@ -114,10 +114,10 @@ def test_criterion_1_loss_matches_triple_loop_oracle(capsys):
         tau = float(gen.uniform(0.05, 1.0))
         zs, zc = _nested_lists(batch)
         for produced, expected in (
-            (mnt_xent(batch, tau), mnt_xent_loops(zs, zc, tau)),
-            (mnt_xent_ablated(batch, tau), mnt_xent_ablated_loops(zs, zc, tau)),
+            (contrastive_loss(batch, tau, False)[0], mnt_xent_loops(zs, zc, tau)),
+            (contrastive_loss(batch, tau, True)[0], mnt_xent_ablated_loops(zs, zc, tau)),
         ):
-            diff = abs(float(produced.data) - expected)
+            diff = abs(produced - expected)
             if diff > worst:
                 worst = diff
             assert diff <= 1e-10
@@ -137,26 +137,25 @@ def test_criterion_2_gradients_match_finite_differences(capsys):
     xc = np.concatenate(xs, axis=1)
     tau = 0.2
 
-    with Tape() as tape:
-        loss = batch_loss(model, xs, xc, tau)
-    tape.backward(loss)
-    analytic = {name: p.grad.copy() for name, p in model.parameters().items()}
+    _, backward = batch_loss(model, xs, xc, tau)
+    backward()
+    analytic = {name: g.copy() for name, g in named_gradients(model).items()}
 
     h = 1e-6
     n_params = 0
     worst = 0.0
     for name, p in model.parameters().items():
-        base = p.data.copy()  # parameter tensors are frozen; perturb a copy
+        base = p.copy()  # parameter arrays are read-only; perturb a copy
         flat = base.reshape(-1)
         fd = np.zeros(flat.size)
         for i in range(flat.size):
             saved = flat[i]
             flat[i] = saved + h
             model.replace_parameters({name: base})
-            up = float(batch_loss(model, xs, xc, tau).data)
+            up = batch_loss(model, xs, xc, tau)[0]
             flat[i] = saved - h
             model.replace_parameters({name: base})
-            down = float(batch_loss(model, xs, xc, tau).data)
+            down = batch_loss(model, xs, xc, tau)[0]
             flat[i] = saved
             fd[i] = (up - down) / (2.0 * h)
         model.replace_parameters({name: base})
@@ -404,22 +403,22 @@ def test_criterion_4_loss_cost_linear_in_modalities(capsys):
     gen = np.random.default_rng(404)
     batches = []
     for m_count in range(1, 9):
-        zs = [Tensor(gen.normal(size=(b, s))) for _ in range(m_count)]
-        batches.append(RepresentationBatch(zs, Tensor(gen.normal(size=(b, s)))))
+        zs = [gen.normal(size=(b, s)) for _ in range(m_count)]
+        batches.append(RepresentationBatch(zs, gen.normal(size=(b, s))))
 
     for m_count, batch in enumerate(batches, start=1):
         assert positive_term_count(batch) == m_count * b
 
     for batch in batches:
-        mnt_xent(batch, 0.1)
-        mnt_xent(batch, 0.1)
+        contrastive_loss(batch, 0.1, False)
+        contrastive_loss(batch, 0.1, False)
     # every repetition times all eight batches in turn, so a drift in machine
     # speed spreads over every M instead of landing on a run of M values
     reps = [[] for _ in batches]
     for _ in range(7):
         for batch, times in zip(batches, reps):
             t0 = time.perf_counter()
-            mnt_xent(batch, 0.1)
+            contrastive_loss(batch, 0.1, False)
             times.append(time.perf_counter() - t0)
     medians = [sorted(times)[3] for times in reps]
 
@@ -441,7 +440,7 @@ def test_criterion_5_trained_model_meets_quality_floors(capsys, dataset, trained
     start = time.perf_counter()
     model = trained["full", 0, 0.1]
 
-    z_train = model.encode_complete(dataset.complete_view("train")).data
+    z_train = model.encode_complete(dataset.complete_view("train"))
     probe = train_probe(z_train, dataset.labels_view("train"), config=ProbeConfig(seed=0))
     table = evaluate_robustness(model, probe, dataset, split="test")
     for m in range(1, dataset.modality_count + 1):
@@ -495,7 +494,7 @@ def test_criterion_7_probe_accuracy_stable_across_tau(capsys, dataset, trained):
     tables = {}
     for tau in taus:
         model = trained["full", 0, tau]
-        z_train = model.encode_complete(dataset.complete_view("train")).data
+        z_train = model.encode_complete(dataset.complete_view("train"))
         probe = train_probe(z_train, dataset.labels_view("train"), config=ProbeConfig(seed=0))
         tables[tau] = evaluate_robustness(model, probe, dataset, split="test")
     pathways = ["complete"] + [f"modality_{m}" for m in range(1, dataset.modality_count + 1)]

@@ -1,11 +1,12 @@
 """The fused and flat code paths against the code they replaced, byte for byte.
 
-The plain dense-layer and softmax cross-entropy functions, the one-node
-contrastive loss, the one-node GMC and probe steps and the trainings around
-them, the in-place optimizers, the bulk CSV reader and writer, the binary CSV twin
-and `rng.per_index` each promise the exact bytes of a longer path kept in
-`tests/_oracles.py`. Every comparison here is on `tobytes()`,
-so a single changed rounding fails.
+The plain dense-layer and softmax cross-entropy functions, the contrastive
+loss, the GMC and probe steps (one (value, backward) pair each) and the
+trainings around them, the in-place optimizers, the bulk CSV reader and
+writer, the binary CSV twin and `rng.per_index` each promise the exact bytes
+of a longer path kept in `tests/_oracles.py`, recorded on its reference
+tape. Every comparison here is on `tobytes()`, so a single changed rounding
+fails.
 """
 
 import hashlib
@@ -20,15 +21,22 @@ from hypothesis import strategies as st
 from _oracles import (
     AdamDict,
     SgdDict,
+    Tape,
+    Tensor,
+    TensorBatch,
     batch_loss_nodes,
     cross_entropy,
     cross_entropy_chain,
     dense,
     dense_chain,
     dot,
+    leaves,
     mlp_chain,
     mlp_dense_nodes,
+    mnt_xent,
+    mnt_xent_ablated,
     mnt_xent_chain,
+    named_gradients,
     read_matrix_csv_cells,
     train_nodes,
     train_probe_4_nodes,
@@ -38,11 +46,9 @@ from gmc import rng
 from gmc import tensor as T
 from gmc.downstream import ProbeClassifier, ProbeConfig, ProbeLoss, train_probe
 from gmc.errors import DataError, DegenerateVectorError, DomainError, NumericError, ShapeError
-from gmc.loss import RepresentationBatch, mnt_xent, mnt_xent_ablated
 from gmc.model import GmcModel, TrainConfig, _Adam, _Sgd, batch_loss, train
 from gmc.synthdata import MultimodalDataset
 from gmc.persist import _read_twin, read_matrix_csv, twin_path, write_csv
-from gmc.tensor import Tape, Tensor
 
 
 def _bytes(a):
@@ -151,7 +157,7 @@ def test_contrastive_node_matches_chain(modalities, batch, width, log_tau, log_s
         ts = [Tensor(a, requires_grad=True) for a in mats]
         try:
             with Tape() as tape:
-                loss = loss_fn(RepresentationBatch(ts[:-1], ts[-1]), tau)
+                loss = loss_fn(TensorBatch(ts[:-1], ts[-1]), tau)
         except DegenerateVectorError as err:
             return ("degenerate", err.where, err.index)
         tape.backward(loss)
@@ -165,58 +171,53 @@ def test_contrastive_node_matches_chain(modalities, batch, width, log_tau, log_s
 # --- whole networks --------------------------------------------------------------
 
 
-def _leaf_copies(params):
-    return {name: Tensor(p.data, requires_grad=True) for name, p in params.items()}
-
-
 @pytest.mark.parametrize("batch", [64, 5])
 def test_gmc_step_matches_chain_with_1_node(batch):
-    """One default step as 1 node, as the 17 of dense layers and the
-    one-node loss, as the 78 of dense layers and the loss chain, and as the
-    102 of matmul, bias-add and activation chains and the loss chain."""
+    """One default step as one (value, backward) pair, as the 17 nodes of
+    dense layers and the one-node loss, as the 78 of dense layers and the
+    loss chain, and as the 102 of matmul, bias-add and activation chains and
+    the loss chain."""
     gen = np.random.default_rng(batch)
     model = GmcModel.build((20, 16, 12), seed=4)
     xs = [gen.normal(size=(batch, d)) for d in (20, 16, 12)]
     xc = np.concatenate(xs, axis=1)
-    with Tape() as tape:
-        loss = batch_loss(model, xs, xc, 0.1)
-    tape.backward(loss)
-    assert len(tape) == 1
+    value, backward = batch_loss(model, xs, xc, 0.1)
+    backward()
+    grads = named_gradients(model)
 
     for mlp, loss_fn, nodes in ((None, None, 17), (None, mnt_xent_chain, 78), (mlp_chain, mnt_xent_chain, 102)):
-        old = _leaf_copies(model.parameters())
+        old = leaves(model.parameters())
         with Tape() as old_tape:
             old_loss = batch_loss_nodes(model, xs, xc, 0.1, params=old, mlp=mlp, loss=loss_fn)
         old_tape.backward(old_loss)
         assert len(old_tape) == nodes
-        assert loss.data.tobytes() == old_loss.data.tobytes()
-        for name, p in model.parameters().items():
-            assert _bytes(p.grad) == _bytes(old[name].grad), (nodes, name)
+        assert np.float64(value).tobytes() == old_loss.data.tobytes()
+        for name in grads:
+            assert _bytes(grads[name]) == _bytes(old[name].grad), (nodes, name)
 
 
 @pytest.mark.parametrize("batch", [64, 5])
 def test_probe_step_matches_chain_with_1_node(batch):
-    """One default probe step as 1 node, as the 4 of dense layers and the
-    cross-entropy node, and as the 19 of matmul, bias-add, activation and
-    cross-entropy chains."""
+    """One default probe step as one (value, backward) pair, as the 4 nodes
+    of dense layers and the cross-entropy node, and as the 19 of matmul,
+    bias-add, activation and cross-entropy chains."""
     gen = np.random.default_rng(9)
     probe = ProbeClassifier(64, 10, seed=2)
     z, y = gen.normal(size=(70, 64)), gen.integers(10, size=70)
     idx = gen.permutation(70)[:batch]
-    with Tape() as tape:
-        loss = ProbeLoss(probe, z, y)(idx)
-    tape.backward(loss)
-    assert len(tape) == 1
+    value, backward = ProbeLoss(probe, z, y)(idx)
+    backward()
+    grads = named_gradients(probe)
 
     for (mlp, ce), nodes in (((mlp_dense_nodes, cross_entropy), 4), ((mlp_chain, cross_entropy_chain), 19)):
-        old = _leaf_copies(probe.parameters())
+        old = leaves(probe.parameters())
         with Tape() as old_tape:
             old_loss = ce(mlp(probe.spec, old, "probe", Tensor(z[idx])), y[idx])
         old_tape.backward(old_loss)
         assert len(old_tape) == nodes
-        assert loss.data.tobytes() == old_loss.data.tobytes()
-        for name, p in probe.parameters().items():
-            assert _bytes(p.grad) == _bytes(old[name].grad), (nodes, name)
+        assert np.float64(value).tobytes() == old_loss.data.tobytes()
+        for name in grads:
+            assert _bytes(grads[name]) == _bytes(old[name].grad), (nodes, name)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -341,7 +342,7 @@ def test_flat_optimizers_match_dict_optimizers(optimizer, lr, b1, b2, eps, steps
     size = probe.parameter_count()
     flat = _Adam(config, size) if optimizer == "adam" else _Sgd(config)
     reference = AdamDict(lr, b1, b2, eps) if optimizer == "adam" else SgdDict(lr)
-    values = {name: p.data.copy() for name, p in probe.parameters().items()}
+    values = {name: p.copy() for name, p in probe.parameters().items()}
     trained = probe.flat_parameters().copy()
     probe.replace_parameters(trained.view())
     buffer = probe.gradients()
@@ -365,7 +366,7 @@ def test_flat_optimizers_match_dict_optimizers(optimizer, lr, b1, b2, eps, steps
         values = reference.step(old)
         assert flat.step(trained, probe.gradients()) is None
         for name, p in probe.parameters().items():
-            assert p.data.tobytes() == values[name].tobytes(), name
+            assert p.tobytes() == values[name].tobytes(), name
 
 
 def test_flat_parameters_are_views_of_one_read_only_buffer():
@@ -373,13 +374,13 @@ def test_flat_parameters_are_views_of_one_read_only_buffer():
     flat = model.flat_parameters()
     assert flat.size == model.parameter_count() and not flat.flags.writeable
     views = list(model.parameters().values())
-    assert all(np.shares_memory(p.data, flat) for p in views)
-    assert np.concatenate([p.data.ravel() for p in views]).tobytes() == flat.tobytes()
-    # a subset swap builds a new buffer and leaves the old tensors untouched
-    before = views[0].data.copy()
+    assert all(np.shares_memory(p, flat) and not p.flags.writeable for p in views)
+    assert np.concatenate([p.ravel() for p in views]).tobytes() == flat.tobytes()
+    # a subset swap builds a new buffer and leaves the old arrays untouched
+    before = views[0].copy()
     model.replace_parameters({"enc0/w0": np.zeros(views[0].shape)})
-    assert views[0].data.tobytes() == before.tobytes()
-    assert not np.any(model.parameters()["enc0/w0"].data)
+    assert views[0].tobytes() == before.tobytes()
+    assert not np.any(model.parameters()["enc0/w0"])
     with pytest.raises(ShapeError):
         model.replace_parameters(np.zeros(flat.size - 1))
 

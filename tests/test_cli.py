@@ -2,6 +2,7 @@ import errno
 import hashlib
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -271,7 +272,7 @@ class TestEncode:
 
         model = load_checkpoint(workdir / "run" / "checkpoint.gmc")
         ds = load_dataset(workdir / "data")
-        assert np.array_equal(z, model.encode_complete(ds.complete_view("test")).data)
+        assert np.array_equal(z, model.encode_complete(ds.complete_view("test")))
 
     def test_bad_pathway_is_a_config_error(self, workdir, tmp_path, capsys):
         assert run_encode(workdir, "9", "test", tmp_path / "x") == 2
@@ -535,6 +536,35 @@ class TestLabels:
         assert code == 3
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and message in err
+
+    def test_huge_label_ends_in_one_error_line(self, workdir, tmp_path):
+        """A label of 1e9 passes the parser, and the probe's last layer would
+        need 954 GiB. The command runs in a child whose address space is
+        capped at 2 GiB, so the allocation fails without touching memory."""
+        shutil.copytree(workdir / "data", tmp_path / "d")
+        path = tmp_path / "d" / "labels.csv"
+        header, first, *rest = path.read_text().splitlines()
+        first = ",".join(["1000000000", *first.split(",")[1:]])
+        path.write_text("\n".join([header, first, *rest]) + "\n")
+        cfg = write_json(tmp_path / "p.json", {"epochs": 1})
+        limit = 2 << 30
+
+        def cap_address_space():  # runs in the child only
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        source_root = str(Path(gmc.__file__).resolve().parent.parent)
+        python_path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gmc.cli", "eval-probe", "--checkpoint", str(workdir / "run" / "checkpoint.gmc"),
+             "--dataset", str(tmp_path / "d"), "--config", cfg, "--out", str(tmp_path / "p")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": python_path, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=cap_address_space,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.count("error:") == 1 and "out of memory" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestSweep:

@@ -15,7 +15,7 @@ from gmc.downstream import (
 )
 from gmc.errors import ConfigError, NumericError, ShapeError
 from gmc.model import GmcModel, TrainConfig, fit, train
-from gmc.synthdata import SynthConfig, generate
+from gmc.synthdata import MultimodalDataset, SynthConfig, generate
 from gmc.tensor import Tape, softmax_cross_entropy_backward, softmax_cross_entropy_forward
 
 
@@ -83,14 +83,13 @@ class TestCrossEntropy:
         loss_fn = ProbeLoss(probe, np.zeros((b, 3)), np.array([0, 1, c - 2, c - 1]))
         tracemalloc.start()
         try:
-            with Tape() as tape:
-                value = loss_fn(np.arange(b))
-            tape.backward(value)
+            value, backward = loss_fn(np.arange(b))
+            backward()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
-        assert value.data == pytest.approx(math.log(c), rel=1e-12)
+        assert value == pytest.approx(math.log(c), rel=1e-12)
 
     def test_rejects_bad_labels(self):
         probe = ProbeClassifier(2, 2, hidden=(3,))
@@ -173,14 +172,14 @@ class TestTrainProbe:
         trained = train_probe(z, y, config=ProbeConfig(learning_rate=0.0, seed=5, epochs=3))
         assert trained.accuracy(z, y) == init_acc
         for name, p in trained.parameters().items():
-            assert p.data.tobytes() == init.parameters()[name].data.tobytes()
+            assert p.tobytes() == init.parameters()[name].tobytes()
 
     def test_fixed_seed_deterministic_parameters(self):
         z, y = two_clusters(seed=2)
         a = train_probe(z, y, config=ProbeConfig(epochs=5, seed=9))
         b = train_probe(z, y, config=ProbeConfig(epochs=5, seed=9))
         for name, p in a.parameters().items():
-            assert p.data.tobytes() == b.parameters()[name].data.tobytes()
+            assert p.tobytes() == b.parameters()[name].tobytes()
         assert a.training_losses == b.training_losses
 
     def test_infers_class_count(self):
@@ -205,14 +204,14 @@ class TestTrainProbe:
         last = rng.stream(config.seed, rng.PROBE_SHUFFLE, 0).permutation(len(y))[-1]
         y[last] = 2  # in the last batch of the first epoch; the probe has 2 classes
         steps = []
-        monkeypatch.setattr(Tape, "backward", lambda tape, root: steps.append(root))
+        monkeypatch.setattr(Tape, "backward", lambda tape: steps.append(tape))
         with pytest.raises(ConfigError, match="class index"):
             train_probe(z, y, n_classes=2, config=config)
         assert steps == []
 
-    def test_training_leaves_earlier_parameter_tensors_unchanged(self):
+    def test_training_leaves_earlier_parameter_arrays_unchanged(self):
         """`fit` trains in place, but over its own copy of the buffer: the
-        tensors `parameters()` returned before keep their bytes, for the
+        arrays `parameters()` returned before keep their bytes, for the
         probe loop of `train_probe` and for `train`."""
         z, y = two_clusters(seed=6)
         probe = ProbeClassifier(4, 2, hidden=(8,), seed=1)
@@ -227,14 +226,57 @@ class TestTrainProbe:
             (model, lambda: train(model, ds, TrainConfig(epochs=2, batch_size=16))),
         ):
             before = params.parameters()
-            saved = {name: p.data.tobytes() for name, p in before.items()}
+            saved = {name: p.tobytes() for name, p in before.items()}
             run()
             for name, p in before.items():
-                assert p.data.tobytes() == saved[name] and p.grad is None, name
+                assert p.tobytes() == saved[name] and not p.flags.writeable, name
             after = params.parameters()
             assert all(after[name] is not p for name, p in before.items())
             assert params.flat_parameters().tobytes() != b"".join(saved.values())
             assert not params.flat_parameters().flags.writeable
+
+
+class TestStepRecord:
+    """The benchmark (`perfbench/`) counts training steps through calls of
+    `gmc.tensor.Tape.backward` and reads `len(tape)` as the nodes of a
+    step: `fit` makes one call a step, on a tape of one node, in both
+    training loops."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        nodes = []
+        original = Tape.backward
+
+        def backward(tape):
+            nodes.append(len(tape))
+            original(tape)
+
+        monkeypatch.setattr(Tape, "backward", backward)
+        return nodes
+
+    @pytest.mark.parametrize("n, batch_size", [(9, 4), (10, 4), (8, 4), (5, 64), (7, 2)])
+    def test_one_call_per_gmc_step(self, monkeypatch, n, batch_size):
+        # 9 = 4 + 4 + 1 and 7 = 2 + 2 + 2 + 1: a trailing batch of 1 is dropped
+        gen = np.random.default_rng(n)
+        mats = [gen.normal(size=(n, 3)), gen.normal(size=(n, 2))]
+        ds = MultimodalDataset(mats, np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool), np.concatenate(mats, axis=1))
+        model = GmcModel.build((3, 2), d=4, s=4, hidden=4, seed=0)
+        before = model.flat_parameters().copy()
+        nodes = self._record(monkeypatch)
+        epochs = 3
+        result = train(model, ds, TrainConfig(epochs=epochs, batch_size=batch_size))
+        assert nodes == [1] * (epochs * (n // batch_size + (n % batch_size >= 2)))
+        assert result.steps == len(nodes)
+        assert model.flat_parameters().tobytes() != before.tobytes()
+
+    @pytest.mark.parametrize("n, batch_size", [(9, 4), (8, 4), (5, 64), (3, 1)])
+    def test_one_call_per_probe_step(self, monkeypatch, n, batch_size):
+        z, y = np.random.default_rng(n).normal(size=(n, 3)), np.arange(n) % 2
+        nodes = self._record(monkeypatch)
+        epochs = 3
+        probe = train_probe(z, y, 2, ProbeConfig(epochs=epochs, batch_size=batch_size, hidden=(4,)))
+        assert nodes == [1] * (epochs * math.ceil(n / batch_size))
+        assert probe.flat_parameters().tobytes() != ProbeClassifier(3, 2, hidden=(4,)).flat_parameters().tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -244,7 +286,7 @@ def small_trained():
     )
     model = GmcModel.build((8, 6), d=16, s=16, hidden=16, seed=0)
     train(model, ds, TrainConfig(epochs=15, batch_size=32, seed=0))
-    z_train = model.encode_complete(ds.complete_view("train")).data
+    z_train = model.encode_complete(ds.complete_view("train"))
     probe = train_probe(z_train, ds.labels_view("train"), 4, ProbeConfig(seed=0))
     return ds, model, probe, z_train
 

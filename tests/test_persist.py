@@ -33,7 +33,7 @@ def model():
     # perturb away from the deterministic init so a stale load would show
     gen = np.random.default_rng(7)
     m.replace_parameters(
-        {k: p.data + 0.1 * gen.standard_normal(p.shape) for k, p in m.parameters().items()}
+        {k: p + 0.1 * gen.standard_normal(p.shape) for k, p in m.parameters().items()}
     )
     return m
 
@@ -48,8 +48,8 @@ class TestCheckpoint:
         assert loaded.seed == model.seed
         for name, p in model.parameters().items():
             q = loaded.parameters()[name]
-            assert q.data.tobytes() == p.data.tobytes()
-            assert q.requires_grad
+            assert q.tobytes() == p.tobytes()
+            assert not q.flags.writeable
 
     def test_save_is_deterministic(self, model, tmp_path):
         save_checkpoint(tmp_path / "a.gmc", model)
@@ -65,7 +65,7 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "m.gmc", model)
         loaded = load_checkpoint(tmp_path / "m.gmc")
         x = np.linspace(-1.0, 1.0, 20).reshape(4, 5)
-        assert np.array_equal(loaded.encode_modality(0, x).data, model.encode_modality(0, x).data)
+        assert np.array_equal(loaded.encode_modality(0, x), model.encode_modality(0, x))
 
     def test_magic_is_first_four_bytes(self, model, tmp_path):
         save_checkpoint(tmp_path / "m.gmc", model)

@@ -1,11 +1,12 @@
-"""The tape engine and the plain layer functions.
+"""The reference tape engine of `tests/_oracles.py` and the plain layer
+functions.
 
 The tests that name `dense`, `matmul`, `add`, `scale`, `exp`, `log`, `sum`,
 `dot`, `row_normalize` or `softmax_cross_entropy` check the tape nodes in
 `tests/_oracles.py`. They make up the per-layer paths and chains that the
-one-node GMC step, contrastive loss and probe step must match byte for
-byte, so those references are themselves held to scalar loops and central
-differences.
+GMC step, contrastive loss and probe step must match byte for byte, so
+those references, and the tape they run on, are themselves held to scalar
+loops and central differences.
 """
 
 import math
@@ -16,11 +17,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import add, dense, dot, exp, log, matmul, row_normalize, scale, softmax_cross_entropy, tsum
+from _oracles import (
+    Tape,
+    Tensor,
+    TensorBatch,
+    add,
+    dense,
+    dot,
+    exp,
+    grad_check,
+    log,
+    matmul,
+    mnt_xent,
+    row_normalize,
+    scale,
+    softmax_cross_entropy,
+    tsum,
+)
 from gmc import tensor as T
 from gmc.errors import ContractError, DomainError, ShapeError
-from gmc.loss import RepresentationBatch, mnt_xent
-from gmc.tensor import Tape, Tensor, grad_check
 
 
 def loop_dot(u, v):
@@ -153,7 +168,7 @@ _SCALAR_CASES = {
     "dot": lambda t: dot(t, Tensor(np.linspace(1, 2, 12).reshape(3, 4))),
     "row_normalize": lambda t: dot(row_normalize(t)[0], Tensor(np.linspace(-1, 2, 12).reshape(3, 4))),
     "softmax_cross_entropy": lambda t: softmax_cross_entropy(t, np.eye(4)[[2, 0, 3]]),
-    "contrastive": lambda t: mnt_xent(RepresentationBatch([t], Tensor(np.linspace(-1, 2, 12).reshape(3, 4))), 0.5),
+    "contrastive": lambda t: mnt_xent(TensorBatch([t], Tensor(np.linspace(-1, 2, 12).reshape(3, 4))), 0.5),
 }
 
 
