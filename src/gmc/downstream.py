@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, ShapeError, require_integer
+from .errors import ConfigError, DataError, ShapeError, require_integer
 from .model import EncoderSpec, GmcModel, LoopConfig, ParameterSet, fit, init_mlp_params
 from .tensor import mlp_backward, mlp_forward, softmax_cross_entropy_backward, softmax_cross_entropy_forward
 
@@ -74,23 +74,6 @@ class ProbeClassifier(ParameterSet):
         return float(np.mean(pred == y))
 
 
-class _Workspace:
-    """Every array one probe step of `batch` rows writes, allocated once."""
-
-    def __init__(self, batch: int, spec: EncoderSpec):
-        classes = spec.output_dim
-        self.x = np.empty((batch, spec.input_dim))
-        self.labels = np.empty(batch, dtype=np.int64)
-        self.rows = np.arange(batch)
-        self.onehot = np.zeros((batch, classes))
-        self.h = [np.empty((batch, width)) for width in spec.widths[1:]]  # each layer's output
-        self.gh = [None] + [np.empty((batch, width)) for width in spec.widths[1:-1]]  # dL/d(each layer's input)
-        self.e = np.empty((classes, batch))
-        self.colsum = np.empty(batch)
-        self.glogits = np.empty((batch, classes))
-        self.scratch = np.empty((classes, batch))
-
-
 class ProbeLoss:
     """`fit`'s loss for a probe: the mean softmax cross-entropy of a batch's
     logits, with the whole ReLU MLP, as one (value, backward) pair.
@@ -98,12 +81,10 @@ class ProbeLoss:
     The step computes with `tensor.mlp_forward`/`mlp_backward` and the
     softmax cross-entropy functions, in the order per-layer tape nodes
     would, so it yields the bytes of one node per layer followed by a
-    cross-entropy node (kept in tests/_oracles.py). Its backward writes the
-    parameter gradients straight into the probe's gradient buffer, and every
-    activation, logit and gradient array goes into a workspace kept per
-    batch size: a step allocates nothing parameter-sized, only a few
-    batch-sized temporaries (relu masks, the picked logits).
-    Labels are checked once, here.
+    cross-entropy node (kept in tests/_oracles.py). Like the GMC step, it
+    allocates its batch-sized arrays afresh and writes the parameter
+    gradients straight into the probe's gradient buffer. Labels are checked
+    once, here.
     """
 
     def __init__(self, probe: ProbeClassifier, z: np.ndarray, y: np.ndarray):
@@ -114,23 +95,17 @@ class ProbeLoss:
         if y.size and (y.min() < 0 or y.max() >= probe.n_classes):
             raise ConfigError("labels", "class index out of range")
         self.probe, self.z, self.y = probe, z, y
-        self._workspaces: dict[int, _Workspace] = {}
 
     def __call__(self, idx: np.ndarray) -> tuple[float, Callable[[], None]]:
-        probe, spec = self.probe, self.probe.spec
-        ws = self._workspaces.get(idx.size)
-        if ws is None:
-            ws = self._workspaces[idx.size] = _Workspace(idx.size, spec)
-        weights, grads = probe._mlp_arrays("probe", spec)
-        onehot = ws.onehot
-        onehot.fill(0.0)
-        onehot[ws.rows, np.take(self.y, idx, out=ws.labels)] = 1.0
-        hs, layers = mlp_forward(np.take(self.z, idx, axis=0, out=ws.x), weights, spec.activations, ws.h)
-        value, ce_saved = softmax_cross_entropy_forward(hs[-1], onehot, ws.e, ws.colsum)
+        spec = self.probe.spec
+        weights, grads = self.probe._mlp_arrays("probe", spec)
+        onehot = np.zeros((idx.size, spec.output_dim))
+        onehot[np.arange(idx.size), self.y[idx]] = 1.0
+        hs, layers = mlp_forward(self.z[idx], weights, spec.activations)
+        value, ce_saved = softmax_cross_entropy_forward(hs[-1], onehot)
 
         def backward() -> None:
-            g = softmax_cross_entropy_backward(1.0, onehot, ce_saved, ws.glogits, ws.scratch)
-            mlp_backward(g, hs, layers, grads, gh=ws.gh, overwrite_g=True)
+            mlp_backward(softmax_cross_entropy_backward(1.0, onehot, ce_saved), hs, layers, grads)
 
         return value, backward
 
@@ -140,6 +115,7 @@ def train_probe(
 ) -> ProbeClassifier:
     """Fit a fresh probe on complete-pathway latents.
 
+    The class count is taken from the labels unless `n_classes` is given.
     Per-epoch mean losses land in `probe.training_losses`.
     """
     z_train = np.asarray(z_train, dtype=np.float64)
@@ -148,6 +124,8 @@ def train_probe(
         raise ShapeError("train_probe", z_train.shape, y_train.shape)
     if n_classes is None:
         n_classes = int(y_train.max()) + 1
+        if n_classes < 2:
+            raise DataError("the train split's labels are all 0; a probe needs at least 2 classes")
     probe = ProbeClassifier(z_train.shape[1], n_classes, config.hidden, config.seed)
     loss_fn = ProbeLoss(probe, z_train, y_train)
     epochs = fit(probe, loss_fn, z_train.shape[0], config, rng.PROBE_SHUFFLE, 1, "probe loss")

@@ -13,7 +13,7 @@ from gmc.downstream import (
     evaluate_robustness,
     train_probe,
 )
-from gmc.errors import ConfigError, NumericError, ShapeError
+from gmc.errors import ConfigError, DataError, NumericError, ShapeError
 from gmc.model import GmcModel, TrainConfig, fit, train
 from gmc.synthdata import MultimodalDataset, SynthConfig, generate
 from gmc.tensor import Tape, softmax_cross_entropy_backward, softmax_cross_entropy_forward
@@ -75,9 +75,10 @@ class TestCrossEntropy:
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_one_hot_costs_no_identity(self):
-        # a C x C identity at C = 20,000 would be 3.2 GB; a probe step's
-        # workspace holds five (B, C) arrays of 640 KB each, and the step
-        # makes one more for the picked logits
+        # a C x C identity at C = 20,000 would be 3.2 GB; a probe step
+        # holds at most five (B, C) arrays of 640 KB at once: the one-hot,
+        # logits and exponentials, plus the picked logits in the forward or
+        # the logit gradient and its (C, B) term in the backward
         b, c = 4, 20_000
         probe = ProbeClassifier(3, c, hidden=(2,))
         loss_fn = ProbeLoss(probe, np.zeros((b, 3)), np.array([0, 1, c - 2, c - 1]))
@@ -193,6 +194,15 @@ class TestTrainProbe:
         with pytest.raises(NumericError) as exc:
             train_probe(z, y, config=ProbeConfig(epochs=1))
         assert exc.value.epoch == 0 and exc.value.step is not None
+
+    def test_single_class_labels_are_a_data_error(self):
+        """Labels that name one class are bad data when the count comes from
+        them; an explicit count of 1 stays a config error."""
+        z, y = two_clusters(seed=3)
+        with pytest.raises(DataError, match="train split's labels"):
+            train_probe(z, np.zeros_like(y), config=ProbeConfig(epochs=1))
+        with pytest.raises(ConfigError, match="n_classes"):
+            train_probe(z, np.zeros_like(y), n_classes=1, config=ProbeConfig(epochs=1))
 
     def test_mismatched_rows_rejected(self):
         with pytest.raises(ShapeError):
